@@ -45,15 +45,13 @@ from .errors import (
 )
 from .montecarlo import McConfig, estimate_sigma_m, simulate_null
 from .rng import SeededStream
-from .spacings import from_unit_observations
-from .statistics import (
-    custom_sum,
-    resolve_kind,
-    statistic_Q,
-    statistic_V,
-    statistic_W,
-    statistic_Z,
-)
+from .spacings import SpacingScheme, anchored_points, from_unit_observations, spacing_rows
+from .statistics import KIND_VARIANTS, custom_sum, evaluate, resolve_kind
+
+# ``test`` evaluates through ``evaluate`` and the variant table, so these four
+# are not called here.  They stay module attributes because the benchmark's
+# traced replay of the CLI (bench/workloads.py) patches them by name.
+from .statistics import statistic_Q, statistic_V, statistic_W, statistic_Z  # noqa: F401
 
 SCHEMA_VERSION = "1"
 
@@ -162,16 +160,6 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(_render_text(doc))
 
 
-def _dispatch_statistic(sample, m: int, kind, variant: str):
-    if variant == "v":
-        return statistic_V(sample, m, kind)
-    if variant == "w":
-        return statistic_W(sample, m, kind)
-    if variant == "q":
-        return statistic_Q(sample, m, kind)
-    return statistic_Z(sample, m, kind.as_tuple_function(m))
-
-
 def _cmd_test(args: argparse.Namespace) -> dict:
     values = _load_unit_data(args.data_path)
     sample = from_unit_observations(values)
@@ -179,7 +167,7 @@ def _cmd_test(args: argparse.Namespace) -> dict:
     if not 1 <= args.m < sample.arc_count:
         raise CliInputError(
             f"order {args.m} is not in [1, n) for a sample with n={sample.arc_count} arcs")
-    result = _dispatch_statistic(sample, args.m, kind, args.variant)
+    result = evaluate(sample, args.m, kind, args.variant)
     report = standardize(result, closed_form_moments(kind, sample.arc_count, args.m))
     params = {"data_path": args.data_path, "statistic": kind.name,
               "m": args.m, "variant": args.variant}
@@ -274,10 +262,7 @@ def _simulated_mean_correction(kind, n: int, m: int, reps: int, seed: int):
     while done < reps:
         count = min(rows, reps - done)
         u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
-        pts = np.sort(u, axis=1)
-        pts = np.hstack([np.zeros((count, 1)), pts])
-        ext = np.hstack([pts, 1.0 + pts[:, :m]])
-        scaled = n * (ext[:, m:] - ext[:, :-m])
+        scaled = n * spacing_rows(anchored_points(u), SpacingScheme.overlapping(m))
         if kind.requires_positive and not (scaled > 0.0).all():
             bad = int(np.flatnonzero(~(scaled > 0.0).ravel())[0]) % n
             raise ZeroSpacing(bad)
@@ -353,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("data_path", help="one value in [0,1) per line; '-' reads stdin")
     p_test.add_argument("--statistic", choices=_NAMED_STATISTICS, required=True)
     p_test.add_argument("--m", type=int, default=1, help="spacing order (default 1)")
-    p_test.add_argument("--variant", choices=("v", "w", "q", "z"), default="v",
+    p_test.add_argument("--variant", choices=KIND_VARIANTS, default="v",
                         help="circular overlapping (v), non-wrapping (w), disjoint (q), "
                              "tuple-sum (z)")
     _add_common(p_test)
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", type=int, default=1)
     p_sim.add_argument("--statistic", choices=_NAMED_STATISTICS, required=True)
     p_sim.add_argument("--reps", type=int, required=True, help="replication count (>= 2)")
-    p_sim.add_argument("--variant", choices=("v", "w", "q", "z"), default="v")
+    p_sim.add_argument("--variant", choices=KIND_VARIANTS, default="v")
     _add_seed(p_sim)
     _add_common(p_sim)
     p_sim.set_defaults(handler=_cmd_simulate)

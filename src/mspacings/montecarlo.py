@@ -3,8 +3,11 @@
 Replications draw uniform samples on independent substreams keyed by the
 replication index, standardize the chosen statistic with its asymptotic
 moments, and summarize how close the standardized values sit to the standard
-normal.  A direct stationary-stream estimator of the per-window variance
-coefficient lives here as well.
+normal.  Replications are evaluated in chunks, one matrix row each, so the
+sort, the spacing arithmetic and the exact sums run over whole chunks; every
+statistic value equals the one-sample evaluation of the same draws, so the
+result does not depend on the chunk boundaries.  A direct stationary-stream
+estimator of the per-window variance coefficient lives here as well.
 """
 
 from __future__ import annotations
@@ -30,20 +33,16 @@ from .lagcov import (
     stream_window_values,
 )
 from .rng import SeededStream
-from .spacings import from_unit_observations
-from .specfun import normal_cdf
-from .statistics import (
-    resolve_kind,
-    statistic_Q,
-    statistic_V,
-    statistic_W,
-    statistic_Z,
-)
+from .spacings import anchored_points
+from .statistics import KIND_VARIANTS, evaluate_rows, resolve_kind
 
 _MIN_SIGMA_DRAWS = 10_000
+# the constant of specfun.normal_cdf, so the KS distance matches it bit for bit
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
-#: Statistic variants the simulator can replicate.
-VARIANTS = ("v", "w", "q", "z")
+#: Values per array in one chunk of replications (512 KiB of doubles); a
+#: chunk holds max(1, CHUNK_VALUES // n) replications.
+CHUNK_VALUES = 1 << 16
 
 
 def uniform_sorted(stream: SeededStream, count: int) -> np.ndarray:
@@ -79,8 +78,8 @@ class McConfig:
         if self.replications < 2:
             raise ValueError(f"replications must be >= 2, got {self.replications}")
         variant = str(self.variant).lower()
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if variant not in KIND_VARIANTS:
+            raise ValueError(f"variant must be one of {KIND_VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "variant", variant)
 
 
@@ -110,21 +109,38 @@ def ks_distance_to_normal(z_values) -> float:
     count = z.size
     if count == 0:
         raise ValueError("need at least one value")
-    phi = np.array([normal_cdf(v) for v in z])
+    phi = np.array([0.5 * math.erfc(-v * _INV_SQRT_2) for v in z.tolist()])
     steps = np.arange(1, count + 1) / count
     d_plus = float(np.max(steps - phi))
     d_minus = float(np.max(phi - (steps - 1.0 / count)))
     return max(d_plus, d_minus)
 
 
-def _compute_statistic(sample, m: int, kind, variant: str):
-    if variant == "v":
-        return statistic_V(sample, m, kind)
-    if variant == "w":
-        return statistic_W(sample, m, kind)
-    if variant == "q":
-        return statistic_Q(sample, m, kind)
-    return statistic_Z(sample, m, kind.as_tuple_function(m))
+def _chunk_draws(config: McConfig, first: int, count: int) -> np.ndarray:
+    """(count, n - 1) uniforms; row r is stream (seed, first + r)."""
+    draws = np.empty((count, config.n - 1))
+    for row in range(count):
+        draws[row] = SeededStream(config.seed, first + row).uniforms(config.n - 1)
+    return draws
+
+
+def _evaluate_chunk(config: McConfig, kind, first: int, count: int) -> np.ndarray:
+    """Statistic values of replications first .. first + count - 1.
+
+    A chunk that fails is evaluated again row by row, so the error names the
+    first failing replication and carries the error its one-sample
+    evaluation raises.
+    """
+    points = anchored_points(_chunk_draws(config, first, count))
+    try:
+        return evaluate_rows(points, config.m, kind, config.variant)
+    except MSpacingsError:
+        for row in range(count):
+            try:
+                evaluate_rows(points[row : row + 1], config.m, kind, config.variant)
+            except MSpacingsError as exc:
+                raise SimulationAborted(first + row, exc) from exc
+        raise
 
 
 def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
@@ -148,14 +164,11 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
 
     start = time.perf_counter() if measure_time else None
     z = np.empty(config.replications)
-    for rep in range(config.replications):
-        stream = SeededStream(config.seed, rep)
-        sample = from_unit_observations(stream.uniforms(config.n - 1))
-        try:
-            result = _compute_statistic(sample, config.m, kind, config.variant)
-        except MSpacingsError as exc:
-            raise SimulationAborted(rep, exc) from exc
-        z[rep] = (result.value - moments.mean) / sd
+    rows = max(1, CHUNK_VALUES // config.n)
+    for first in range(0, config.replications, rows):
+        count = min(rows, config.replications - first)
+        values = _evaluate_chunk(config, kind, first, count)
+        z[first : first + count] = (values - moments.mean) / sd
 
     elapsed = time.perf_counter() - start if measure_time else None
     return McSummary(

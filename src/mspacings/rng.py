@@ -26,7 +26,13 @@ def _mix64(z: int) -> int:
 
 
 def derive_stream_key(seed: int, stream_id: int) -> int:
-    """Output number ``stream_id`` of the SplitMix64 sequence seeded by ``seed``."""
+    """Output number ``stream_id`` of the SplitMix64 sequence seeded by ``seed``.
+
+    ``seed`` must lie in [0, 2**64): the mix works modulo 2**64, so any other
+    seed would silently alias one inside that range.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     if stream_id < 0:
         raise ValueError(f"stream_id must be >= 0, got {stream_id}")
     return _mix64((seed + (stream_id + 1) * _SPLITMIX64_GAMMA) & _MASK64)

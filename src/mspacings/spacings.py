@@ -71,11 +71,40 @@ class SpacingsVector:
     n: int
 
 
+def anchored_points(values) -> np.ndarray:
+    """Anchored circular points of every row of a (rows, k) observation matrix.
+
+    Row r of the result holds the anchor 0 followed by row r of ``values``
+    sorted ascending, so a (rows, k) matrix becomes (rows, k + 1) points.  Ties
+    are kept; they surface later as zero spacings.
+
+    Raises
+    ------
+    EmptyInput
+        If the rows hold no observations.
+    ValueOutOfRange
+        If any observation is not a finite number in [0, 1); the error
+        reports the first offending position within its row and its value.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape[1] == 0:
+        raise EmptyInput("need at least one observation")
+    ok = (arr >= 0.0) & (arr < 1.0)  # NaN fails both comparisons
+    if not ok.all():
+        row, i = (int(k) for k in np.argwhere(~ok)[0])
+        raise ValueOutOfRange(i, float(arr[row, i]))
+    pts = np.empty((arr.shape[0], arr.shape[1] + 1), dtype=np.float64)
+    pts[:, 0] = 0.0
+    pts[:, 1:] = arr
+    pts[:, 1:].sort(axis=1)
+    return pts
+
+
 def from_unit_observations(values) -> CircularSample:
     """Build the anchored circular sample from raw unit-interval observations.
 
-    Observations are sorted ascending and the anchor 0 is prepended.  Ties
-    are kept; they surface later as zero spacings.
+    The one-row case of :func:`anchored_points`: observations are sorted
+    ascending and the anchor 0 is prepended.
 
     Raises
     ------
@@ -85,43 +114,41 @@ def from_unit_observations(values) -> CircularSample:
         If any observation is not a finite number in [0, 1); the error
         reports the offending position and value.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptyInput("need at least one observation")
-    ok = (arr >= 0.0) & (arr < 1.0)  # NaN fails both comparisons
-    if not ok.all():
-        i = int(np.flatnonzero(~ok)[0])
-        raise ValueOutOfRange(i, float(arr[i]))
-    pts = np.empty(arr.size + 1, dtype=np.float64)
-    pts[0] = 0.0
-    pts[1:] = np.sort(arr)
+    arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    pts = anchored_points(arr)[0]
     pts.setflags(write=False)
     return CircularSample(pts)
 
 
-def m_spacings(sample: CircularSample, scheme: SpacingScheme) -> SpacingsVector:
-    """Arc lengths of ``sample`` under ``scheme``.
+def spacing_rows(points: np.ndarray, scheme: SpacingScheme) -> np.ndarray:
+    """Arc lengths under ``scheme`` of every row of a (rows, n) matrix of
+    anchored sorted points, as a (rows, count) matrix.
 
-    Simple and overlapping spacings both have length n; the overlapping ones
+    Simple and overlapping spacings both have n columns; the overlapping ones
     wrap around the circle (the point k past the top is 1 plus point k).
     Disjoint spacings keep only the floor(n/m) complete blocks.
     """
-    n = sample.arc_count
+    n = points.shape[1]
     m = scheme.m
     if m >= n:
         raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
-    pts = sample.points
     if scheme.mode == "simple":
-        vals = np.diff(pts, append=1.0)
-    elif scheme.mode == "overlapping":
-        ext = np.concatenate([pts, 1.0 + pts[:m]])
-        vals = ext[m:] - ext[:-m]
-    else:
-        blocks = n // m
-        ext = np.append(pts, 1.0)
-        vals = np.diff(ext[np.arange(blocks + 1) * m])
+        return np.diff(points, axis=1, append=1.0)
+    if scheme.mode == "overlapping":
+        vals = np.empty(points.shape)
+        np.subtract(points[:, m:], points[:, :-m], out=vals[:, : n - m])
+        np.subtract(1.0 + points[:, :m], points[:, n - m :], out=vals[:, n - m :])
+        return vals
+    ext = np.concatenate([points, np.ones((points.shape[0], 1))], axis=1)
+    return np.diff(ext[:, np.arange(n // m + 1) * m], axis=1)
+
+
+def m_spacings(sample: CircularSample, scheme: SpacingScheme) -> SpacingsVector:
+    """Arc lengths of ``sample`` under ``scheme``: the one-row case of
+    :func:`spacing_rows`."""
+    vals = spacing_rows(sample.points.reshape(1, -1), scheme)[0]
     vals.setflags(write=False)
-    return SpacingsVector(values=vals, m=m, scheme=scheme, n=n)
+    return SpacingsVector(values=vals, m=scheme.m, scheme=scheme, n=sample.arc_count)
 
 
 def scaled_values(spacings: SpacingsVector) -> np.ndarray:

@@ -86,6 +86,14 @@ class TestExitCodes:
         assert code == 1
         assert "--seed" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_input_error(self, capsys, seed):
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--statistic",
+                                 "greenwood", "--reps", "5", "--seed", seed)
+        assert code == 1
+        assert out == ""
+        assert f"seed {seed} " in err
+
     def test_seed_flags_are_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "20", "--statistic",
                              "greenwood", "--reps", "5", "--seed", "1",

@@ -12,17 +12,28 @@ from mspacings import (
     DegenerateVariance,
     DomainViolation,
     McConfig,
+    McSummary,
+    MSpacingsError,
     SeededStream,
     SimulationAborted,
     UnsupportedKind,
+    ZeroSpacing,
     closed_form_moments,
     custom_sum,
     estimate_sigma_m,
     exponential,
+    from_unit_observations,
     ks_distance_to_normal,
+    normal_cdf,
+    resolve_kind,
     simulate_null,
+    statistic_Q,
+    statistic_V,
+    statistic_W,
+    statistic_Z,
     uniform_sorted,
 )
+from mspacings import montecarlo
 
 
 class TestSamplingHelpers:
@@ -79,6 +90,25 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance_to_normal([])
+
+    @staticmethod
+    def _elementwise_formula(z_values):
+        # the formula before vectorization: normal_cdf on numpy scalars
+        z = np.sort(np.asarray(z_values, dtype=np.float64))
+        count = z.size
+        phi = np.array([normal_cdf(v) for v in z])
+        steps = np.arange(1, count + 1) / count
+        d_plus = float(np.max(steps - phi))
+        d_minus = float(np.max(phi - (steps - 1.0 / count)))
+        return max(d_plus, d_minus)
+
+    def test_bit_identical_to_elementwise_formula(self):
+        rng = np.random.default_rng(11)
+        for count in (1, 2, 7, 500, 20_001):
+            z = rng.standard_normal(count) * rng.uniform(0.1, 10.0) + rng.uniform(-3.0, 3.0)
+            assert ks_distance_to_normal(z).hex() == self._elementwise_formula(z).hex()
+        extremes = [-40.0, -8.5, -1e-300, -0.0, 0.0, 5e-324, 8.5, 40.0]
+        assert ks_distance_to_normal(extremes) == self._elementwise_formula(extremes)
 
 
 class TestMcConfig:
@@ -166,6 +196,115 @@ class TestSimulateNull:
         assert abs(out.mean_z) < 0.25
         assert abs(out.variance_z - 1.0) < 0.4
         assert out.ks_distance < 0.12
+
+
+_PUBLIC_STATISTICS = {"v": statistic_V, "w": statistic_W, "q": statistic_Q}
+
+
+def _public_statistic(sample, m, kind, variant):
+    kind = resolve_kind(kind)
+    if variant == "z":
+        return statistic_Z(sample, m, kind.as_tuple_function(m))
+    return _PUBLIC_STATISTICS[variant](sample, m, kind)
+
+
+def _looped_summary(config, stream=SeededStream):
+    """simulate_null as a plain loop of one-sample public calls."""
+    moments = closed_form_moments(config.kind, config.n, config.m)
+    z = np.empty(config.replications)
+    for rep in range(config.replications):
+        sample = from_unit_observations(stream(config.seed, rep).uniforms(config.n - 1))
+        value = _public_statistic(sample, config.m, config.kind, config.variant).value
+        z[rep] = (value - moments.mean) / math.sqrt(moments.variance)
+    return McSummary(replications=config.replications, mean_z=float(np.mean(z)),
+                     variance_z=float(np.var(z, ddof=1)), ks_distance=ks_distance_to_normal(z),
+                     min_z=float(np.min(z)), max_z=float(np.max(z)), seed=config.seed)
+
+
+class TestChunkedEngine:
+    N = 5000
+    ROWS = montecarlo.CHUNK_VALUES // N
+
+    @pytest.mark.parametrize("kind, m, variant", [
+        ("greenwood", 1, "v"), ("moran", 2, "v"), ("entropy", 5, "v"),
+        ("greenwood", 2, "w"), ("moran", 3, "q"), ("entropy", 2, "z"),
+        ("greenwood", 9, "z"),
+    ])
+    def test_equals_loop_of_public_calls(self, kind, m, variant):
+        reps = 3 * self.ROWS + 2  # three full chunks and a partial one
+        config = McConfig(n=self.N, m=m, kind=kind, replications=reps, seed=31,
+                          variant=variant)
+        assert simulate_null(config) == _looped_summary(config)
+
+    def test_independent_of_chunk_size(self, monkeypatch):
+        config = McConfig(n=40, m=2, kind="moran", replications=101, seed=8, variant="z")
+        reference = simulate_null(config)
+        for values in (1, 40, 41, 120, 40 * 101, 1 << 20):
+            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", values)
+            assert simulate_null(config) == reference
+
+    @staticmethod
+    def _streams_with(overrides):
+        """Seeded streams, except that the stream ids in ``overrides`` draw
+        ``overrides[id](count)``."""
+        class Streams(SeededStream):
+            def uniforms(self, count):
+                fixed = overrides.get(self.stream_id)
+                return super().uniforms(count) if fixed is None else fixed(count)
+        return Streams
+
+    def _abort(self, monkeypatch, config, overrides, moments=None):
+        """Run the engine with overridden draws; check its abort against the
+        first error of the one-sample loop, and return it."""
+        stream = self._streams_with(overrides)
+        monkeypatch.setattr(montecarlo, "SeededStream", stream)
+        with pytest.raises(SimulationAborted) as err:
+            simulate_null(config, moments=moments)
+        expected = None
+        for rep in range(config.replications):
+            sample = from_unit_observations(stream(config.seed, rep).uniforms(config.n - 1))
+            try:
+                _public_statistic(sample, config.m, config.kind, config.variant)
+            except MSpacingsError as exc:
+                expected = (rep, exc)
+                break
+        assert expected is not None
+        rep, cause = expected
+        assert err.value.replication == rep
+        assert type(err.value.cause) is type(cause)
+        assert err.value.cause.index == cause.index
+        assert str(err.value.cause) == str(cause)
+        return err.value
+
+    @staticmethod
+    def _tied(count):
+        u = np.linspace(0.05, 0.95, count)
+        u[count // 2] = u[count // 2 + 1]
+        return u
+
+    @pytest.mark.parametrize("variant", ["v", "w", "q"])
+    def test_tie_in_later_chunk_names_replication(self, monkeypatch, variant):
+        late = 2 * self.ROWS + 3
+        config = McConfig(n=self.N, m=1, kind="moran", replications=4 * self.ROWS,
+                          seed=5, variant=variant)
+        # a tie later in the same chunk must not be the one reported
+        aborted = self._abort(monkeypatch, config,
+                              {late: self._tied, late + 2: lambda c: np.full(c, 0.5)})
+        assert isinstance(aborted.cause, ZeroSpacing)
+        assert aborted.replication == late
+
+    @pytest.mark.parametrize("variant", ["v", "z"])
+    def test_domain_violation_in_later_chunk_names_replication(self, monkeypatch, variant):
+        late = 3 * self.ROWS + 1
+        # finite everywhere except on a gap wider than a quarter circle
+        bad = custom_sum(lambda x: np.log(self.N / 4.0 - x), name="gap-log")
+        ok = AsymptoticMoments(mean=0.0, variance=1.0, per_term_mean=0.0, per_term_variance=1.0)
+        config = McConfig(n=self.N, m=2, kind=bad, replications=4 * self.ROWS + 5,
+                          seed=9, variant=variant)
+        aborted = self._abort(monkeypatch, config,
+                              {late: lambda c: np.linspace(0.0, 0.6, c, endpoint=False)},
+                              moments=ok)
+        assert isinstance(aborted.cause, DomainViolation)
 
 
 class TestEstimateSigmaM:

@@ -24,6 +24,17 @@ class TestStreamKey:
         with pytest.raises(ValueError):
             derive_stream_key(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the mix works modulo 2**64: -1 would alias 2**64 - 1
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            derive_stream_key(seed, 0)
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            SeededStream(seed, 3)
+
+    def test_seed_range_edges_accepted(self):
+        assert derive_stream_key(0, 0) != derive_stream_key(2**64 - 1, 0)
+
     def test_distinct_ids_give_distinct_keys(self):
         keys = {derive_stream_key(42, sid) for sid in range(1000)}
         assert len(keys) == 1000

@@ -15,14 +15,13 @@ from mspacings import (
     m_spacings,
     scaled_values,
 )
+from mspacings.spacings import anchored_points, spacing_rows
 
 EPS = float(np.finfo(np.float64).eps)
 
-unit_obs = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
-              allow_nan=False, width=64),
-    min_size=1, max_size=64,
-)
+unit_value = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
+                       allow_nan=False, width=64)
+unit_obs = st.lists(unit_value, min_size=1, max_size=64)
 
 
 def sample_and_order(draw):
@@ -196,3 +195,50 @@ def test_spacings_are_pure_functions(data):
     first = m_spacings(sample, scheme).values
     second = m_spacings(sample, scheme).values
     assert np.array_equal(first, second)
+
+
+def one_sample_spacings(points, scheme):
+    """The spacing arithmetic written for one sample, as a reference."""
+    m = scheme.m
+    if scheme.mode == "simple":
+        return np.diff(points, append=1.0)
+    if scheme.mode == "overlapping":
+        ext = np.concatenate([points, 1.0 + points[:m]])
+        return ext[m:] - ext[:-m]
+    ext = np.append(points, 1.0)
+    return np.diff(ext[np.arange(points.size // m + 1) * m])
+
+
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda k: st.lists(st.lists(unit_value, min_size=k, max_size=k),
+                       min_size=1, max_size=5)),
+    st.data())
+def test_rows_match_one_sample_arithmetic(rows, data):
+    points = anchored_points(np.array(rows))
+    n = points.shape[1]
+    m = data.draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+    for r, values in enumerate(rows):
+        sample = from_unit_observations(values)
+        assert np.array_equal(points[r], sample.points)
+        if m >= n:
+            continue
+        for scheme in (SpacingScheme.simple(), SpacingScheme.overlapping(m),
+                       SpacingScheme.disjoint(m)):
+            expected = one_sample_spacings(sample.points, scheme)
+            assert np.array_equal(spacing_rows(points, scheme)[r], expected)
+            assert np.array_equal(m_spacings(sample, scheme).values, expected)
+
+
+def test_row_form_range_check_names_column():
+    values = np.full((3, 4), 0.25)
+    values[2, 1] = 1.0
+    values[1, 3] = math.nan
+    with pytest.raises(ValueOutOfRange) as err:
+        anchored_points(values)
+    # first bad entry in row-major order is row 1, column 3
+    assert err.value.index == 3 and math.isnan(err.value.value)
+
+
+def test_row_form_order_check():
+    with pytest.raises(OrderTooLarge):
+        spacing_rows(anchored_points(np.full((2, 3), 0.5)), SpacingScheme.disjoint(4))

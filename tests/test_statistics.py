@@ -27,6 +27,8 @@ from mspacings import (
     statistic_W,
     statistic_Z,
 )
+from mspacings.spacings import SpacingScheme, anchored_points, m_spacings, scaled_values
+from mspacings.statistics import evaluate, evaluate_rows
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -243,3 +245,45 @@ def test_cyclic_relabeling_invariance():
     for j in range(1, base.arc_count):
         rotated = rotate_to(base.points, j)
         assert statistic_Z(rotated, 3, h).value == pytest.approx(reference, rel=1e-9)
+
+
+@given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32))
+def test_rows_equal_one_sample_evaluation(count, rows, seed):
+    values = np.random.default_rng(seed).random((rows, count))
+    points = anchored_points(values)
+    n = count + 1
+    m = 1 + seed % min(5, n - 1)
+    fam = TupleFunctionFamily(tuple(square_tuple(m) if k % 2 else GREENWOOD.as_tuple_function(m)
+                                    for k in range(n)))
+    for variant, fn in (("v", "greenwood"), ("v", "moran"), ("w", "entropy"),
+                        ("q", "moran"), ("z", "entropy"), ("z", square_tuple(m)), ("r", fam)):
+        batched = evaluate_rows(points, m, fn, variant)
+        for r in range(rows):
+            one = evaluate(from_unit_observations(values[r]), m, fn, variant)
+            assert batched[r].hex() == one.value.hex()
+
+
+@given(unit_obs, st.integers(min_value=1, max_value=6))
+def test_value_is_fsum_of_the_summands(values, m):
+    sample = from_unit_observations(values)
+    n = sample.arc_count
+    if m >= n:
+        return
+    x = scaled_values(m_spacings(sample, SpacingScheme.overlapping(m)))
+    assert statistic_V(sample, m, "greenwood").value == math.fsum(np.square(x))
+    assert statistic_W(sample, m, "entropy").value == math.fsum(
+        ENTROPY.sum_fn(x[: n - m]))
+    x = scaled_values(m_spacings(sample, SpacingScheme.disjoint(m)))
+    assert statistic_Q(sample, m, "greenwood").value == math.fsum(np.square(x))
+
+
+def test_rows_report_error_of_first_failing_row():
+    values = np.random.default_rng(4).random((4, 9))
+    values[2, 5] = values[2, 3]
+    values[3, 1] = values[3, 0]
+    with pytest.raises(ZeroSpacing) as err:
+        evaluate_rows(anchored_points(values), 1, "moran", "v")
+    with pytest.raises(ZeroSpacing) as one_row:
+        statistic_V(from_unit_observations(values[2]), 1, "moran")
+    assert err.value.index == one_row.value.index
