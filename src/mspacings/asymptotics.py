@@ -30,7 +30,7 @@ from .lagcov import (
     components,
     stream_window_values,
 )
-from .rng import SeededStream
+from .rng import CHUNK_VALUES, SeededStream
 from .specfun import digamma_int, hurwitz_zeta2
 from .statistics import (
     StatisticResult,
@@ -283,10 +283,16 @@ def estimate_general_moments(
 ) -> GeneralMoments:
     """Monte Carlo estimates of A, B, C and sigma2 for a summand family.
 
-    Each replication draws n iid standard exponentials with circular
-    extension, evaluates the family on all n windows, and accumulates
-    per-position first and second moments; covariances are then taken across
-    replications.  Standard errors are batch means over replications.
+    Replication r draws n iid standard exponentials from stream (seed, r)
+    with circular extension, evaluates the family on all n windows, and
+    accumulates per-position first and second moments; covariances are then
+    taken across replications.  Standard errors are batch means over
+    replications.
+
+    Replications are drawn and evaluated in chunks, one matrix row each, and
+    their moments are added into the sums one replication after another, so
+    every result equals that of a loop over single replications bit for bit,
+    wherever the chunk boundaries fall.
     """
     if len(family) != n:
         raise FamilyLengthMismatch(f"family has {len(family)} functions, need n={n}")
@@ -300,47 +306,53 @@ def estimate_general_moments(
     batches = DEFAULT_BATCHES
     size = replications // batches
     sizes = [size + 1 if b < replications - batches * size else size for b in range(batches)]
+    bounds = np.cumsum([0] + sizes)
 
-    sum_h = np.zeros((batches, n))
-    sum_w = np.zeros((batches, n))
-    sum_hw = np.zeros((batches, n))
-    sum_hh = np.zeros((batches, m, n))
-
-    rep = 0
-    for b, count in enumerate(sizes):
-        for _ in range(count):
-            x = SeededStream(seed, rep).exponentials(n)
-            ext = np.concatenate([x, x[: m - 1]]) if m > 1 else x
-            windows = sliding_window_view(ext, m)
-            with np.errstate(all="ignore"):
-                hv = family.evaluate_all(windows)
-            _finite_or_raise(hv)
-            w = windows.sum(axis=1)
-            sum_h[b] += hv
-            sum_w[b] += w
-            sum_hw[b] += hv * w
-            for d in range(m):
-                sum_hh[b, d] += hv * np.roll(hv, -d)
-            rep += 1
-
-    def assemble(sh, sw, shw, shh, count):
-        mh = sh / count
-        mw = sw / count
-        a_val = float(np.sum(mh))
-        b_val = float(np.mean(shw / count - mh * mw))
-        c_total = 0.0
+    # sums[b] holds, per position, the batch-b totals of h, w, h w and
+    # h times h at lag d (row 3 + d)
+    sums = np.zeros((batches, 3 + m, n))
+    rows = max(1, CHUNK_VALUES // (n + m - 1))
+    for first in range(0, replications, rows):
+        last = min(first + rows, replications)
+        ext = SeededStream.rows(seed, first, last - first, n, "exponentials", wrap=m - 1)
+        windows = sliding_window_view(ext, m, axis=1)
+        with np.errstate(all="ignore"):
+            hv = family.evaluate_all(windows)
+        bad = ~np.isfinite(hv)
+        if bad.any():
+            r, k = divmod(int(np.flatnonzero(bad)[0]), n)
+            raise NonFiniteSample(
+                f"statistic value of replication {first + r} at window {k} is not finite")
+        # terms[1 + r] holds replication first + r
+        terms = np.empty((last - first + 1, 3 + m, n))
+        terms[1:, 0] = hv
+        terms[1:, 1] = windows.sum(axis=2)
+        np.multiply(hv, terms[1:, 1], out=terms[1:, 2])
         for d in range(m):
-            cov_d = shh[d] / count - mh * np.roll(mh, -d)
-            total = float(np.sum(cov_d))
-            c_total += total if d == 0 else 2.0 * total
-        c_val = c_total / n
-        return a_val, b_val, c_val, n * (c_val - b_val * b_val)
+            np.multiply(hv, np.roll(hv, -d, axis=1), out=terms[1:, 3 + d])
+        # add each batch's rows into its sums in replication order: the slot
+        # before the rows (free, or a row already added) takes the running
+        # sums, and numpy reduces over axis 0 one row after another
+        for b in np.flatnonzero((bounds[:-1] < last) & (bounds[1:] > first)):
+            lo = max(bounds[b], first) - first
+            hi = min(bounds[b + 1], last) - first
+            terms[lo] = sums[b]
+            np.add.reduce(terms[lo : hi + 1], axis=0, out=sums[b])
 
-    full = assemble(sum_h.sum(axis=0), sum_w.sum(axis=0), sum_hw.sum(axis=0),
-                    sum_hh.sum(axis=0), replications)
-    per_batch = [assemble(sum_h[b], sum_w[b], sum_hw[b], sum_hh[b], sizes[b])
-                 for b in range(batches)]
-    ses = [batch_std_error([pb[i] for pb in per_batch]) for i in range(4)]
+    # row 0 covers all replications, row 1 + b batch b
+    means = np.concatenate([sums.sum(axis=0)[None], sums])
+    means /= np.array([replications] + sizes, dtype=np.float64)[:, None, None]
+    mh, mw = means[:, 0], means[:, 1]
+    a_val = np.sum(mh, axis=1)
+    b_val = np.mean(means[:, 2] - mh * mw, axis=1)
+    c_total = np.zeros(batches + 1)
+    for d in range(m):
+        total = np.sum(means[:, 3 + d] - mh * np.roll(mh, -d, axis=1), axis=1)
+        c_total += total if d == 0 else 2.0 * total
+    c_val = c_total / n
+    values = np.array([a_val, b_val, c_val, n * (c_val - b_val * b_val)])
+    full = values[:, 0].tolist()
+    ses = [batch_std_error(v[1:]) for v in values]
     return GeneralMoments(
         A=full[0], B=full[1], C=full[2], sigma2=full[3],
         se_A=ses[0], se_B=ses[1], se_C=ses[2], se_sigma2=ses[3],

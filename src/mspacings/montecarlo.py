@@ -32,30 +32,13 @@ from .lagcov import (
     components,
     stream_window_values,
 )
-from .rng import SeededStream
+from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
 from .statistics import KIND_VARIANTS, evaluate_rows, resolve_kind
 
 _MIN_SIGMA_DRAWS = 10_000
 # the constant of specfun.normal_cdf, so the KS distance matches it bit for bit
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
-
-#: Values per array in one chunk of replications (512 KiB of doubles); a
-#: chunk holds max(1, CHUNK_VALUES // n) replications.
-CHUNK_VALUES = 1 << 16
-
-
-def uniform_sorted(stream: SeededStream, count: int) -> np.ndarray:
-    """``count`` iid uniforms in [0, 1) from the stream, sorted ascending."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return np.sort(stream.uniforms(count))
-
-
-def exponential(stream: SeededStream) -> float:
-    """One standard exponential draw, -ln(1 - u); finite and nonnegative."""
-    return stream.exponential()
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -116,14 +99,6 @@ def ks_distance_to_normal(z_values) -> float:
     return max(d_plus, d_minus)
 
 
-def _chunk_draws(config: McConfig, first: int, count: int) -> np.ndarray:
-    """(count, n - 1) uniforms; row r is stream (seed, first + r)."""
-    draws = np.empty((count, config.n - 1))
-    for row in range(count):
-        draws[row] = SeededStream(config.seed, first + row).uniforms(config.n - 1)
-    return draws
-
-
 def _evaluate_chunk(config: McConfig, kind, first: int, count: int) -> np.ndarray:
     """Statistic values of replications first .. first + count - 1.
 
@@ -131,7 +106,7 @@ def _evaluate_chunk(config: McConfig, kind, first: int, count: int) -> np.ndarra
     first failing replication and carries the error its one-sample
     evaluation raises.
     """
-    points = anchored_points(_chunk_draws(config, first, count))
+    points = anchored_points(SeededStream.rows(config.seed, first, count, config.n - 1))
     try:
         return evaluate_rows(points, config.m, kind, config.variant)
     except MSpacingsError:

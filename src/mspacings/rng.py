@@ -5,7 +5,11 @@ SplitMix64 mix of ``(seed, stream_id)``.  Uniform draws map 53 random bits
 onto [0, 1); exponentials invert the CDF.  Identical (seed, stream_id) pairs
 therefore reproduce identical sequences across runs and platforms, and
 distinct stream ids give unrelated streams (the mix is a bijection of the
-counter, so no two ids share a key under one seed).
+counter, so no two ids in [0, 2**64) share a key under one seed).
+
+Monte Carlo routines draw replication r from stream (seed, r) and handle
+replications in chunks, one matrix row each (:meth:`SeededStream.rows`), of
+at most ``CHUNK_VALUES`` values per array.
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+
+#: Values per array in one chunk of replications (512 KiB of doubles); a
+#: chunk of rows that are ``width`` values wide holds
+#: max(1, CHUNK_VALUES // width) replications.
+CHUNK_VALUES = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -28,13 +37,13 @@ def _mix64(z: int) -> int:
 def derive_stream_key(seed: int, stream_id: int) -> int:
     """Output number ``stream_id`` of the SplitMix64 sequence seeded by ``seed``.
 
-    ``seed`` must lie in [0, 2**64): the mix works modulo 2**64, so any other
-    seed would silently alias one inside that range.
+    ``seed`` and ``stream_id`` must lie in [0, 2**64): the mix works modulo
+    2**64, so any other value would silently alias one inside that range.
     """
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    if stream_id < 0:
-        raise ValueError(f"stream_id must be >= 0, got {stream_id}")
+    if not 0 <= stream_id <= _MASK64:
+        raise ValueError(f"stream_id {stream_id} is outside [0, 2**64)")
     return _mix64((seed + (stream_id + 1) * _SPLITMIX64_GAMMA) & _MASK64)
 
 
@@ -53,12 +62,22 @@ class SeededStream:
         """iid uniforms on [0, 1) with 53-bit granularity."""
         return self._generator.random(count)
 
-    def uniform(self) -> float:
-        return float(self._generator.random())
-
     def exponentials(self, count: int) -> np.ndarray:
         """iid standard exponentials, -log(1 - u) for uniform u."""
         return -np.log1p(-self._generator.random(count))
 
-    def exponential(self) -> float:
-        return float(-np.log1p(-self._generator.random()))
+    @classmethod
+    def rows(cls, seed: int, first: int, count: int, width: int,
+             draw: str = "uniforms", wrap: int = 0) -> np.ndarray:
+        """(count, width + wrap) draws for replications first .. first + count - 1.
+
+        Row r holds ``width`` values of ``draw`` ("uniforms" or
+        "exponentials") from stream (seed, first + r), followed by a copy of
+        its first ``wrap`` values (the circular extension of the row).  Each
+        row is exactly what a one-replication draw of that stream returns.
+        """
+        out = np.empty((count, width + wrap))
+        for row in range(count):
+            out[row, :width] = getattr(cls(seed, first + row), draw)(width)
+        out[:, width:] = out[:, :wrap]
+        return out

@@ -113,10 +113,17 @@ class TupleFunctionFamily:
         return cls((h,) * n)
 
     def evaluate_all(self, windows: np.ndarray) -> np.ndarray:
-        """Value of function k on window k, for all k at once."""
-        out = np.empty(len(self.functions), dtype=np.float64)
+        """Value of function k on window k, for all k at once.
+
+        ``windows`` is an (n, m) window matrix or a stack (..., n, m) of
+        them; the result has shape (n,) or (..., n).  Each function is called
+        once, on the windows of all its positions across the whole stack.
+        """
+        lead = windows.shape[:-2]
+        out = np.empty(lead + (len(self.functions),), dtype=np.float64)
         for fn, rows in self._groups:
-            out[rows] = fn.evaluate(windows[rows])
+            picked = windows[..., rows, :]
+            out[..., rows] = fn.evaluate(picked.reshape(-1, self.arity)).reshape(picked.shape[:-1])
         return out
 
 
@@ -285,19 +292,18 @@ def _window_summands(points: np.ndarray, m: int, fn) -> np.ndarray:
         s = np.concatenate([s, s[:, : m - 1]], axis=1)
     windows = sliding_window_view(s, m, axis=1)
     if family:
-        def evaluate(w):
-            return np.stack([fn.evaluate_all(row) for row in w])
-        requires_positive = any(f.requires_positive for f in fn.functions)
+        positive = np.array([f.requires_positive for f in fn.functions])
     else:
-        def evaluate(w):
-            return fn.evaluate(w.reshape(-1, m)).reshape(w.shape[:2])
-        requires_positive = fn.requires_positive
-    if requires_positive:
-        mins = windows.min(axis=2)
-        if not (mins > 0.0).all():
-            raise DomainViolation(_first(mins <= 0.0)[1], "window has a non-positive coordinate")
+        positive = np.full(n, fn.requires_positive)
+    if positive.any():
+        bad = ~(windows.min(axis=2) > 0.0) & positive
+        if bad.any():
+            raise DomainViolation(_first(bad)[1], "window has a non-positive coordinate")
     with np.errstate(all="ignore"):
-        hv = evaluate(windows)
+        if family:
+            hv = fn.evaluate_all(windows)
+        else:
+            hv = fn.evaluate(windows.reshape(-1, m)).reshape(windows.shape[:2])
     bad = ~np.isfinite(hv)
     if bad.any():
         r, k = _first(bad)

@@ -1,22 +1,27 @@
 """Closed-form moments, standardization, mean corrections, general variance
 estimation, and the normal-limit moment condition."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mspacings import (
+    DEFAULT_BATCHES,
     DegenerateVariance,
     EULER_GAMMA,
     FamilyLengthMismatch,
     GREENWOOD,
     GeneralMoments,
     NonFiniteSample,
+    SeededStream,
     StatisticResult,
     TupleFunction,
     TupleFunctionFamily,
     UnsupportedKind,
+    batch_std_error,
     clt_condition_ratio,
     closed_form_moments,
     custom_sum,
@@ -27,6 +32,7 @@ from mspacings import (
     sigma_m_closed_form_large_m,
     standardize,
 )
+from mspacings import asymptotics
 
 PI2 = math.pi * math.pi
 
@@ -289,6 +295,113 @@ class TestEstimateGeneralMoments:
                             n=10, m=1, replications=100, seed=0)
         assert ok.as_asymptotic_moments().variance == 3.0
         assert ok.as_asymptotic_moments().per_term_variance == pytest.approx(0.3)
+
+
+def _looped_general_moments(family, n, m, replications, seed):
+    """estimate_general_moments as a plain loop over single replications."""
+    batches = DEFAULT_BATCHES
+    size = replications // batches
+    sizes = [size + 1 if b < replications - batches * size else size for b in range(batches)]
+    sum_h = np.zeros((batches, n))
+    sum_w = np.zeros((batches, n))
+    sum_hw = np.zeros((batches, n))
+    sum_hh = np.zeros((batches, m, n))
+    rep = 0
+    for b, count in enumerate(sizes):
+        for _ in range(count):
+            x = SeededStream(seed, rep).exponentials(n)
+            windows = sliding_window_view(np.concatenate([x, x[: m - 1]]), m)
+            hv = family.evaluate_all(windows)
+            w = windows.sum(axis=1)
+            sum_h[b] += hv
+            sum_w[b] += w
+            sum_hw[b] += hv * w
+            for d in range(m):
+                sum_hh[b, d] += hv * np.roll(hv, -d)
+            rep += 1
+
+    def assemble(sh, sw, shw, shh, count):
+        mh = sh / count
+        mw = sw / count
+        a_val = float(np.sum(mh))
+        b_val = float(np.mean(shw / count - mh * mw))
+        c_total = 0.0
+        for d in range(m):
+            total = float(np.sum(shh[d] / count - mh * np.roll(mh, -d)))
+            c_total += total if d == 0 else 2.0 * total
+        c_val = c_total / n
+        return a_val, b_val, c_val, n * (c_val - b_val * b_val)
+
+    full = assemble(sum_h.sum(axis=0), sum_w.sum(axis=0), sum_hw.sum(axis=0),
+                    sum_hh.sum(axis=0), replications)
+    per_batch = [assemble(sum_h[b], sum_w[b], sum_hw[b], sum_hh[b], sizes[b])
+                 for b in range(batches)]
+    ses = [batch_std_error([pb[i] for pb in per_batch]) for i in range(4)]
+    return GeneralMoments(*full, *ses, n=n, m=m, replications=replications, seed=seed)
+
+
+def _hex(moments):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(moments)]
+
+
+def mixed_family(n, m):
+    """Vectorized and non-vectorized members, with distinct values at every
+    lag so that each accumulator is exercised."""
+    spread = TupleFunction(lambda *w: max(w) - 0.5 * min(w) + w[0] * w[-1], arity=m,
+                           name="spread")
+    log_total = TupleFunction(lambda rows: np.log1p(rows.sum(axis=1)) * rows[:, 0], arity=m,
+                              vectorized=True, name="log-total")
+    square = TupleFunction(lambda rows: np.square(rows.sum(axis=1)), arity=m,
+                           vectorized=True, name="square-total")
+    members = (spread, log_total, square)
+    return TupleFunctionFamily(tuple(members[(k * k + k // 2) % 3] for k in range(n)))
+
+
+class TestChunkedGeneralMoments:
+    @pytest.mark.parametrize("n, m, replications", [
+        (40, 1, 101), (30, 2, 130), (24, 3, 100), (16, 5, 107),
+    ])
+    def test_equals_loop_of_single_replications(self, n, m, replications):
+        family = mixed_family(n, m)
+        looped = _hex(_looped_general_moments(family, n, m, replications, 13))
+        assert _hex(estimate_general_moments(family, n, m, replications, 13)) == looped
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_independent_of_chunk_size(self, monkeypatch, m):
+        n, replications = 20, 103
+        width = n + m - 1
+        family = mixed_family(n, m)
+        looped = _hex(_looped_general_moments(family, n, m, replications, 4))
+        # one row per chunk, chunks smaller and larger than a batch of 3 or 4
+        # replications, one chunk for all of them
+        for values in (1, width, 2 * width, 7 * width + 1, 50 * width, 1 << 20):
+            monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)
+            assert _hex(estimate_general_moments(family, n, m, replications, 4)) == looped
+
+    def test_vectorized_family_equals_loop(self):
+        family = alternating_family(64)
+        looped = _hex(_looped_general_moments(family, 64, 1, 300, 8))
+        assert _hex(estimate_general_moments(family, 64, 1, 300, 8)) == looped
+
+    @pytest.mark.parametrize("values", [60, 1 << 16])
+    def test_non_finite_names_first_replication(self, monkeypatch, values):
+        n, late = 30, 47
+        bad_at = {late: 6, late + 1: 2, late + 20: 0}
+
+        class Streams(SeededStream):
+            def exponentials(self, count):
+                x = super().exponentials(count)
+                if self.stream_id in bad_at:
+                    x[bad_at[self.stream_id]] = -5.0
+                return x
+
+        monkeypatch.setattr(asymptotics, "SeededStream", Streams)
+        monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)
+        root = TupleFunction(lambda rows: np.sqrt(rows.sum(axis=1)), arity=2,
+                             vectorized=True, name="root")
+        family = TupleFunctionFamily.constant(root, n)
+        with pytest.raises(NonFiniteSample, match=f"replication {late} at window 5 "):
+            estimate_general_moments(family, n, 2, 100, 3)
 
 
 class TestCltConditionRatio:

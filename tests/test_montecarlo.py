@@ -1,5 +1,5 @@
-"""Null simulation machinery: sampling helpers, KS distance, the replication
-loop, and the stream estimate of the per-window variance coefficient."""
+"""Null simulation machinery: KS distance, the replication loop, and the
+stream estimate of the per-window variance coefficient."""
 
 import dataclasses
 import math
@@ -21,7 +21,6 @@ from mspacings import (
     closed_form_moments,
     custom_sum,
     estimate_sigma_m,
-    exponential,
     from_unit_observations,
     ks_distance_to_normal,
     normal_cdf,
@@ -31,35 +30,8 @@ from mspacings import (
     statistic_V,
     statistic_W,
     statistic_Z,
-    uniform_sorted,
 )
 from mspacings import montecarlo
-
-
-class TestSamplingHelpers:
-    def test_uniform_sorted_is_sorted_in_range(self):
-        u = uniform_sorted(SeededStream(1), 1000)
-        assert np.all(np.diff(u) >= 0.0)
-        assert u.min() >= 0.0 and u.max() < 1.0
-
-    def test_uniform_sorted_deterministic(self):
-        a = uniform_sorted(SeededStream(9, 4), 128)
-        b = uniform_sorted(SeededStream(9, 4), 128)
-        np.testing.assert_array_equal(a, b)
-
-    def test_uniform_sorted_mean(self):
-        u = uniform_sorted(SeededStream(2), 1_000_000)
-        assert abs(float(u.mean()) - 0.5) < 0.002
-
-    def test_uniform_sorted_count_floor(self):
-        with pytest.raises(ValueError):
-            uniform_sorted(SeededStream(0), 0)
-
-    def test_exponential_draw(self):
-        s1, s2 = SeededStream(3), SeededStream(3)
-        x = exponential(s1)
-        assert math.isfinite(x) and x >= 0.0
-        assert exponential(s2) == x
 
 
 class TestKsDistance:

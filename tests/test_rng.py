@@ -35,6 +35,17 @@ class TestStreamKey:
     def test_seed_range_edges_accepted(self):
         assert derive_stream_key(0, 0) != derive_stream_key(2**64 - 1, 0)
 
+    @pytest.mark.parametrize("stream_id", [-1, 2**64, 2**64 + 2, 2**65])
+    def test_stream_id_outside_64_bits_rejected(self, stream_id):
+        # the mix works modulo 2**64: id 2**64 would share the key of id 0
+        with pytest.raises(ValueError, match=f"stream_id {stream_id} "):
+            derive_stream_key(5, stream_id)
+        with pytest.raises(ValueError, match=f"stream_id {stream_id} "):
+            SeededStream(5, stream_id)
+
+    def test_stream_id_range_edges_accepted(self):
+        assert derive_stream_key(5, 2**64 - 1) != derive_stream_key(5, 0)
+
     def test_distinct_ids_give_distinct_keys(self):
         keys = {derive_stream_key(42, sid) for sid in range(1000)}
         assert len(keys) == 1000
@@ -52,9 +63,6 @@ class TestSeededStream:
         c = SeededStream(98, 3).uniforms(256)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_uniform_scalar_matches_vector_head(self):
-        assert SeededStream(5, 0).uniform() == SeededStream(5, 0).uniforms(1)[0]
 
     def test_uniforms_in_unit_interval(self):
         u = SeededStream(1, 0).uniforms(100_000)
@@ -75,10 +83,6 @@ class TestSeededStream:
         assert np.array_equal(e, -np.log1p(-u))
         assert (e >= 0.0).all() and np.isfinite(e).all()
 
-    def test_exponential_scalar(self):
-        x = SeededStream(11, 2).exponential()
-        assert x >= 0.0 and math.isfinite(x)
-
     def test_exponential_moments(self):
         e = SeededStream(13, 0).exponentials(1_000_000)
         assert abs(float(e.mean()) - 1.0) <= 0.003
@@ -88,3 +92,14 @@ class TestSeededStream:
         # the map applied to the stream sends u = 0 to 0 and 1 - 1/e to 1
         assert -math.log1p(-0.0) == 0.0
         assert -math.log1p(-(1.0 - math.exp(-1.0))) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRows:
+    @pytest.mark.parametrize("draw", ["uniforms", "exponentials"])
+    @pytest.mark.parametrize("wrap", [0, 1, 4])
+    def test_row_r_is_stream_first_plus_r(self, draw, wrap):
+        rows = SeededStream.rows(21, 7, 5, 9, draw, wrap=wrap)
+        assert rows.shape == (5, 9 + wrap)
+        for r in range(5):
+            one = getattr(SeededStream(21, 7 + r), draw)(9)
+            assert np.array_equal(rows[r], np.concatenate([one, one[:wrap]]))

@@ -194,6 +194,39 @@ class TestR:
         with pytest.raises(FamilyLengthMismatch):
             statistic_R(sample, 1, TupleFunctionFamily((h, h)))
 
+    def test_positivity_checked_only_where_required(self):
+        log = TupleFunction(lambda w: np.log(w[:, 0]), arity=1, vectorized=True,
+                            requires_positive=True, name="log")
+        sq = square_tuple(1)
+        # scaled spacings 1, 0, 2, 1: the zero sits at a square position
+        sample = from_unit_observations([0.25, 0.25, 0.75])
+        r = statistic_R(sample, 1, TupleFunctionFamily((log, sq, log, sq)))
+        assert r.value == math.fsum([0.0, 0.0, math.log(2.0), 1.0])
+        with pytest.raises(DomainViolation) as err:
+            statistic_R(sample, 1, TupleFunctionFamily((sq, log, log, sq)))
+        assert err.value.index == 1
+
+    def test_positivity_reports_first_failing_row(self):
+        log = TupleFunction(lambda w: np.log(w[:, 0] * w[:, 1]), arity=2,
+                            requires_positive=True, name="log-product")
+        fam = TupleFunctionFamily((square_tuple(2), square_tuple(2), log, square_tuple(2)))
+        points = anchored_points(np.array([[0.1, 0.4, 0.7], [0.2, 0.2, 0.6], [0.3, 0.3, 0.3]]))
+        # row 1 has a zero spacing in windows 0 and 1, square positions both;
+        # row 2 has one in windows 0 to 2, of which 2 is the log position
+        with pytest.raises(DomainViolation) as err:
+            evaluate_rows(points, 2, fam, "r")
+        assert err.value.index == 2
+
+    def test_evaluate_all_on_a_stack_equals_one_matrix_at_a_time(self):
+        pair = TupleFunction(lambda u, v: u - 2.0 * v, arity=2, name="pair")
+        fam = TupleFunctionFamily(tuple(pair if k % 2 else square_tuple(2) for k in range(5)))
+        stack = np.random.default_rng(3).random((3, 4, 5, 2))
+        out = fam.evaluate_all(stack)
+        assert out.shape == (3, 4, 5)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(out[i, j], fam.evaluate_all(stack[i, j]))
+
 
 def test_greenwood_recentering_identity():
     rng = np.random.default_rng(2024)
@@ -254,8 +287,9 @@ def test_rows_equal_one_sample_evaluation(count, rows, seed):
     points = anchored_points(values)
     n = count + 1
     m = 1 + seed % min(5, n - 1)
-    fam = TupleFunctionFamily(tuple(square_tuple(m) if k % 2 else GREENWOOD.as_tuple_function(m)
-                                    for k in range(n)))
+    spread = TupleFunction(lambda *w: w[0] * w[-1] - min(w), arity=m, name="spread")
+    members = (square_tuple(m), GREENWOOD.as_tuple_function(m), spread)
+    fam = TupleFunctionFamily(tuple(members[k % 3] for k in range(n)))
     for variant, fn in (("v", "greenwood"), ("v", "moran"), ("w", "entropy"),
                         ("q", "moran"), ("z", "entropy"), ("z", square_tuple(m)), ("r", fam)):
         batched = evaluate_rows(points, m, fn, variant)
