@@ -24,11 +24,13 @@ from .errors import (
 )
 from .lagcov import (
     DEFAULT_BATCHES,
+    MIN_DRAWS,
     Estimate,
     batch_std_error,
     batched_components,
     components,
     stream_window_values,
+    window_sums,
 )
 from .rng import CHUNK_VALUES, SeededStream
 from .specfun import digamma_int, hurwitz_zeta2
@@ -39,7 +41,6 @@ from .statistics import (
     resolve_kind,
 )
 
-_MIN_MC_DRAWS = 10_000
 _MIN_REPLICATIONS = 100
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -235,8 +236,8 @@ def mean_correction(h, m: int, draws: int, seed: int, stream_id: int = 0) -> Est
     over independent windows.  ``h`` may be a StatisticKind (applied to the
     total) or a TupleFunction of arity m.
     """
-    if draws < _MIN_MC_DRAWS:
-        raise ValueError(f"draws must be >= {_MIN_MC_DRAWS}")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     tf = _as_tuple_function(h, m)
     x = SeededStream(seed, stream_id).exponentials(draws * m).reshape(draws, m)
     with np.errstate(all="ignore"):
@@ -272,8 +273,8 @@ def holst_vs_corrected(h, m: int, draws: int, seed: int) -> tuple[Estimate, Esti
     same lag-covariance accumulators, so at m = 1 they coincide exactly; no
     ordering between them is asserted at any order.
     """
-    if draws < _MIN_MC_DRAWS:
-        raise ValueError(f"draws must be >= {_MIN_MC_DRAWS}")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     holst, corrected, _ = _holst_comparison(h, m, draws, seed)
     return holst, corrected
 
@@ -326,7 +327,7 @@ def estimate_general_moments(
         # terms[1 + r] holds replication first + r
         terms = np.empty((last - first + 1, 3 + m, n))
         terms[1:, 0] = hv
-        terms[1:, 1] = windows.sum(axis=2)
+        terms[1:, 1] = window_sums(ext, m)
         np.multiply(hv, terms[1:, 1], out=terms[1:, 2])
         for d in range(m):
             np.multiply(hv, np.roll(hv, -d, axis=1), out=terms[1:, 3 + d])
@@ -371,8 +372,8 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
     """
     if r <= 2.0:
         raise ValueError(f"the moment order must exceed 2, got {r}")
-    if draws < _MIN_MC_DRAWS:
-        raise ValueError(f"draws must be >= {_MIN_MC_DRAWS}")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     x, hv, w = stream_window_values(h, m, draws, seed)
     comp = components(hv, w, m)
     base_count = hv.size - (m - 1)

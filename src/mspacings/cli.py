@@ -43,6 +43,7 @@ from .errors import (
     SimulationAborted,
     ZeroSpacing,
 )
+from .lagcov import MIN_DRAWS
 from .montecarlo import McConfig, estimate_sigma_m, simulate_null
 from .rng import SeededStream
 from .spacings import SpacingScheme, anchored_points, from_unit_observations, spacing_rows
@@ -225,8 +226,8 @@ def _cmd_sigma(args: argparse.Namespace) -> dict:
     if args.statistic is None and args.custom_h is None:
         raise CliInputError("provide --statistic or --custom-h")
     seed = _resolve_seed(args)
-    if args.draws < 10_000:
-        raise CliInputError(f"--draws must be at least 10000, got {args.draws}")
+    if args.draws < MIN_DRAWS:
+        raise CliInputError(f"--draws must be at least {MIN_DRAWS}, got {args.draws}")
     kind, label, closed = _sigma_target(args)
     params = {"statistic": label, "m": args.m, "draws": args.draws,
               "seed": seed, "compare_holst": bool(args.compare_holst)}
@@ -288,7 +289,7 @@ def _cmd_meancheck(args: argparse.Namespace) -> dict:
     kind = resolve_kind(args.statistic)
     leading, simulated, simulated_se = _simulated_mean_correction(
         kind, args.n, args.m, args.reps, seed)
-    formula = mean_correction(kind, args.m, max(args.reps, 10_000), seed, stream_id=1)
+    formula = mean_correction(kind, args.m, max(args.reps, MIN_DRAWS), seed, stream_id=1)
     exact = exact_mean_correction(kind, args.n, args.m)
     warnings: list[str] = []
     gap = abs(formula.value - simulated)
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="named scalar function of the window total")
     p_sigma.add_argument("--m", type=int, default=1)
     p_sigma.add_argument("--draws", type=int, default=1_000_000,
-                         help="window draws (default 1000000, minimum 10000)")
+                         help=f"window draws (default 1000000, minimum {MIN_DRAWS})")
     p_sigma.add_argument("--compare-holst", action="store_true",
                          help="also report the pooled cross-covariance assembly")
     _add_seed(p_sigma)

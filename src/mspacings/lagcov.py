@@ -26,9 +26,16 @@ from .rng import SeededStream
 #: Batches used for every Monte Carlo standard error in the package.
 DEFAULT_BATCHES = 30
 
-# Window totals via per-window summation up to this order; cumulative sums
-# beyond it (cheaper for wide windows, slightly less accurate).
+#: Fewest draws any Monte Carlo estimator in the package accepts.
+MIN_DRAWS = 10_000
+
+# Window totals of one stream via per-window summation up to this order;
+# cumulative sums beyond it (cheaper for wide windows, slightly less accurate).
 _WINDOW_SUM_SWITCH = 64
+
+# Positions per block of the lag sums in components: the block's centred
+# values and products stay in cache.
+_LAG_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,45 @@ class SigmaComponents:
 
 
 def window_sums(x: np.ndarray, m: int) -> np.ndarray:
-    """Sliding totals of m consecutive entries; length len(x) - m + 1."""
+    """Sliding totals of m consecutive entries along the last axis of ``x``,
+    which shrinks by m - 1.
+
+    For m = 1 this is ``x`` itself.  Otherwise every total equals
+    ``sliding_window_view(x, m, axis=-1).sum(axis=-1)`` bit for bit, except
+    for a one-dimensional ``x`` with m above ``_WINDOW_SUM_SWITCH``, which
+    takes differences of cumulative sums.
+    """
     if m == 1:
         return x
-    if m <= _WINDOW_SUM_SWITCH:
-        return sliding_window_view(x, m).sum(axis=1)
+    if m < 8:
+        # numpy adds fewer than 8 terms one after another onto 0.0, so shifted
+        # adds onto x + 0.0 (which turns -0.0 into 0.0) give the same totals
+        count = x.shape[-1] - m + 1
+        total = x[..., :count] + 0.0
+        for k in range(1, m):
+            total += x[..., k : k + count]
+        return total
+    if m <= _WINDOW_SUM_SWITCH or x.ndim > 1:
+        return sliding_window_view(x, m, axis=-1).sum(axis=-1)
     cs = np.concatenate([[0.0], np.cumsum(x)])
     return cs[m:] - cs[:-m]
+
+
+def _pairwise_sum(leaf, count: int, lo: int = 0):
+    """Total of ``leaf(lo, n)``, the sum over entries lo .. lo + n - 1, over
+    ``count`` entries, added along numpy's pairwise summation tree.
+
+    numpy sums more than 128 float64 values as the sum of two halves, the
+    first half's length rounded down to a multiple of 8.  Splitting the same
+    way down to blocks of at most ``_LAG_BLOCK`` entries, which must be at
+    least 128, and summing each block with ``np.sum`` therefore gives
+    ``np.sum`` of all ``count`` values bit for bit.
+    """
+    if count <= _LAG_BLOCK:
+        return leaf(lo, count)
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, half, lo) + _pairwise_sum(leaf, count - half, lo + half)
 
 
 def components(hv: np.ndarray, w: np.ndarray, m: int) -> SigmaComponents:
@@ -70,20 +109,41 @@ def components(hv: np.ndarray, w: np.ndarray, m: int) -> SigmaComponents:
     ``hv`` and ``w`` are indexed by window position; the first
     ``len(hv) - m + 1`` positions pair with every lag 0..m-1 inside the
     arrays, so all lags average over the same count.
+
+    All lag sums are taken in one pass over blocks of positions, and each
+    equals ``np.sum`` of the full-length product of the centred arrays bit
+    for bit (see :func:`_pairwise_sum`).
     """
     positions = hv.size
     base_count = positions - (m - 1)
     if base_count < 2:
         raise ValueError("too few windows for the requested order")
-    dh = hv - hv.mean()
-    dw = w - w.mean()
-    base = dh[:base_count]
+    mean_h = hv.mean()
+    mean_w = w.mean()
+    width = min(base_count, _LAG_BLOCK)
+    dh = np.empty(width + m - 1)
+    dw = np.empty(width + m - 1)
+    product = np.empty(width)
+
+    def lag_sums(lo: int, n: int) -> np.ndarray:
+        # row 0 sums dh[t] dh[t + j], row 1 sums dh[t] dw[t + j], over the
+        # n positions t from lo
+        np.subtract(hv[lo : lo + n + m - 1], mean_h, out=dh[: n + m - 1])
+        np.subtract(w[lo : lo + n + m - 1], mean_w, out=dw[: n + m - 1])
+        base, prod = dh[:n], product[:n]
+        sums = np.empty((2, m))
+        for j in range(m):
+            sums[0, j] = np.multiply(base, dh[j : j + n], out=prod).sum()
+            sums[1, j] = np.multiply(base, dw[j : j + n], out=prod).sum()
+        return sums
+
+    sums = _pairwise_sum(lag_sums, base_count)
     lag_total = 0.0
     cross_total = 0.0
     b = 0.0
     for j in range(m):
-        cj = float(np.sum(base * dh[j : j + base_count]) / base_count)
-        dj = float(np.sum(base * dw[j : j + base_count]) / base_count)
+        cj = float(sums[0, j] / base_count)
+        dj = float(sums[1, j] / base_count)
         weight = 1.0 if j == 0 else 2.0
         lag_total += weight * cj
         cross_total += weight * dj

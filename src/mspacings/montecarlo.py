@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .lagcov import (
+    MIN_DRAWS,
     Estimate,
     batch_std_error,
     batched_components,
@@ -36,7 +37,6 @@ from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
 from .statistics import KIND_VARIANTS, evaluate_rows, resolve_kind
 
-_MIN_SIGMA_DRAWS = 10_000
 # the constant of specfun.normal_cdf, so the KS distance matches it bit for bit
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
@@ -166,8 +166,8 @@ def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
     the assembled value subtracts the squared covariance with the window
     total.  The standard error comes from contiguous batch means.
     """
-    if window_draws < _MIN_SIGMA_DRAWS:
-        raise ValueError(f"window_draws must be >= {_MIN_SIGMA_DRAWS}")
+    if window_draws < MIN_DRAWS:
+        raise ValueError(f"window_draws must be >= {MIN_DRAWS}")
     _, hv, w = stream_window_values(h, m, window_draws, seed)
     full = components(hv, w, m)
     batch = batched_components(hv, w, m)

@@ -64,7 +64,10 @@ class SeededStream:
 
     def exponentials(self, count: int) -> np.ndarray:
         """iid standard exponentials, -log(1 - u) for uniform u."""
-        return -np.log1p(-self._generator.random(count))
+        values = self._generator.random(count)
+        np.negative(values, out=values)
+        np.log1p(values, out=values)
+        return np.negative(values, out=values)
 
     @classmethod
     def rows(cls, seed: int, first: int, count: int, width: int,

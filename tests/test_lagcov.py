@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mspacings import (
     DEFAULT_BATCHES,
     NonFiniteSample,
+    SigmaComponents,
     TupleFunction,
     batch_std_error,
     batched_components,
@@ -16,6 +18,45 @@ from mspacings import (
     stream_window_values,
     window_sums,
 )
+from mspacings import lagcov
+
+BLOCK = lagcov._LAG_BLOCK
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def looped_components(hv, w, m) -> SigmaComponents:
+    """The full-length assembly: one product array and one np.sum per lag."""
+    base_count = hv.size - (m - 1)
+    dh = hv - hv.mean()
+    dw = w - w.mean()
+    base = dh[:base_count]
+    lag_total = 0.0
+    cross_total = 0.0
+    b = 0.0
+    for j in range(m):
+        cj = float(np.sum(base * dh[j : j + base_count]) / base_count)
+        dj = float(np.sum(base * dw[j : j + base_count]) / base_count)
+        weight = 1.0 if j == 0 else 2.0
+        lag_total += weight * cj
+        cross_total += weight * dj
+        if j == 0:
+            b = dj
+    return SigmaComponents(corrected=lag_total - b * b,
+                           holst=lag_total - (cross_total / m) ** 2, b=b)
+
+
+def component_hexes(c: SigmaComponents) -> list[str]:
+    return hexes([c.corrected, c.holst, c.b])
+
+
+def offset_stream(base_count: int, m: int, seed: int):
+    """(hv, w) with ``base_count`` lag positions; hv carries a 1e8 offset."""
+    x = np.random.default_rng(seed).standard_exponential(base_count + 2 * (m - 1))
+    w = window_sums(x, m)
+    return np.square(w) + 1e8, w
 
 
 class TestWindowSums:
@@ -40,6 +81,40 @@ class TestWindowSums:
         wide = window_sums(x, 65)
         direct = np.lib.stride_tricks.sliding_window_view(x, 65).sum(axis=1)
         np.testing.assert_allclose(wide, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equal_to_numpy_window_sum(self, m):
+        # signed values over 16 decades, with -0.0 entries (and an all -0.0
+        # run, whose numpy total is +0.0), in one stream and in a stack; at
+        # m = 1 the totals are the entries themselves, -0.0 included
+        rng = np.random.default_rng(100 + m)
+        stack = rng.standard_normal((4, 300 + m - 1)) * 10.0 ** rng.integers(-8, 8, (4, 300 + m - 1))
+        stack[:, ::7] = -0.0
+        stack[1, 20:40] = -0.0
+        for x in (stack[0], stack):
+            expected = x if m == 1 else sliding_window_view(x, m, axis=-1).sum(axis=-1)
+            assert hexes(window_sums(x, m)) == hexes(expected)
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("block", [128, 136, 1000, BLOCK])
+    def test_equal_to_np_sum_up_to_2000(self, monkeypatch, block):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", block)
+        rng = np.random.default_rng(block)
+        values = rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 6, 2000)
+        for count in range(1, 2001):
+            a = values[:count]
+            got = lagcov._pairwise_sum(lambda lo, n: np.sum(a[lo : lo + n]), count)
+            assert float(got).hex() == float(np.sum(a)).hex(), (
+                f"numpy's summation order changed: count {count}, block {block}")
+
+    @pytest.mark.parametrize("count", [1_000_003, 2**21 + 5, 3_999_999])
+    def test_equal_to_np_sum_for_long_arrays(self, count):
+        rng = np.random.default_rng(count)
+        a = rng.standard_normal(count) * 10.0 ** rng.integers(-6, 6, count)
+        got = lagcov._pairwise_sum(lambda lo, n: np.sum(a[lo : lo + n]), count)
+        assert float(got).hex() == float(np.sum(a)).hex(), (
+            f"numpy's summation order changed: count {count}")
 
 
 class TestComponents:
@@ -84,6 +159,22 @@ class TestComponents:
         with pytest.raises(ValueError):
             components(np.ones(3), np.ones(3), 3)
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("base_count", [
+        2, 7, 8, 127, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 23, 2 * BLOCK + 25])
+    def test_equal_to_full_length_loop(self, base_count, m):
+        hv, w = offset_stream(base_count, m, seed=base_count + m)
+        assert component_hexes(components(hv, w, m)) == component_hexes(
+            looped_components(hv, w, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_equal_to_full_length_loop_over_many_blocks(self, monkeypatch, m):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
+        for base_count in (128, 129, 1000, 4099, 20_001):
+            hv, w = offset_stream(base_count, m, seed=base_count)
+            assert component_hexes(components(hv, w, m)) == component_hexes(
+                looped_components(hv, w, m))
+
 
 class TestBatching:
     def test_batch_count(self):
@@ -91,6 +182,17 @@ class TestBatching:
         x = rng.standard_exponential(3000)
         out = batched_components(np.square(x), x, 1)
         assert len(out) == DEFAULT_BATCHES
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("size", [28, 127, 129, BLOCK - 1, BLOCK + 1])
+    def test_equal_to_full_length_loop(self, size, m):
+        # every batch segment has ``size`` lag positions
+        hv, w = offset_stream(DEFAULT_BATCHES * size, m, seed=size + m)
+        got = batched_components(hv, w, m)
+        expected = [looped_components(hv[b * size : (b + 1) * size + m - 1],
+                                      w[b * size : (b + 1) * size + m - 1], m)
+                    for b in range(DEFAULT_BATCHES)]
+        assert [component_hexes(c) for c in got] == [component_hexes(c) for c in expected]
 
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,12 @@ class TestSeededStream:
         assert np.array_equal(e, -np.log1p(-u))
         assert (e >= 0.0).all() and np.isfinite(e).all()
 
+    @pytest.mark.parametrize("count", [1, 200, 65_537, 1_000_000])
+    def test_exponentials_bit_identical_to_inverse_cdf(self, count):
+        e = SeededStream(12, 5).exponentials(count)
+        u = SeededStream(12, 5).uniforms(count)
+        assert e.tobytes() == (-np.log1p(-u)).tobytes()
+
     def test_exponential_moments(self):
         e = SeededStream(13, 0).exponentials(1_000_000)
         assert abs(float(e.mean()) - 1.0) <= 0.003

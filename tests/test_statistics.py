@@ -28,7 +28,7 @@ from mspacings import (
     statistic_Z,
 )
 from mspacings.spacings import SpacingScheme, anchored_points, m_spacings, scaled_values
-from mspacings.statistics import evaluate, evaluate_rows
+from mspacings.statistics import _xlogx, evaluate, evaluate_rows
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -226,6 +226,29 @@ class TestR:
         for i in range(3):
             for j in range(4):
                 assert np.array_equal(out[i, j], fam.evaluate_all(stack[i, j]))
+
+
+class TestXlogx:
+    """The entropy summand: u log u where u > 0, else +0.0."""
+
+    def test_positive_entries_are_u_log_u(self):
+        u = np.random.default_rng(4).standard_exponential((13, 500))
+        assert [v.hex() for v in _xlogx(u).ravel().tolist()] == [
+            v.hex() for v in (u * np.log(u)).ravel().tolist()]
+
+    def test_zero_nan_and_negative_give_zero(self):
+        got = _xlogx(np.array([0.0, -0.0, np.nan, -3.0, 2.0]))
+        two = np.array([2.0])
+        assert [v.hex() for v in got.tolist()] == ["0x0.0p+0"] * 4 + [
+            float((two * np.log(two))[0]).hex()]
+
+    @pytest.mark.parametrize("value", [2.5, 0.0, -0.0, float("nan")])
+    def test_zero_dimensional_input(self, value):
+        got = _xlogx(np.float64(value))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        u = np.array([value])
+        expected = float((u * np.log(u))[0]) if value > 0.0 else 0.0
+        assert float(got).hex() == expected.hex()
 
 
 def test_greenwood_recentering_identity():
