@@ -61,29 +61,33 @@ class SigmaComponents:
     b: float
 
 
-def window_sums(x: np.ndarray, m: int) -> np.ndarray:
+def window_sums(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sliding totals of m consecutive entries along the last axis of ``x``,
     which shrinks by m - 1.
 
     For m = 1 this is ``x`` itself.  Otherwise every total equals
     ``sliding_window_view(x, m, axis=-1).sum(axis=-1)`` bit for bit, except
     for a one-dimensional ``x`` with m above ``_WINDOW_SUM_SWITCH``, which
-    takes differences of cumulative sums.
+    takes differences of cumulative sums.  The totals are written into
+    ``out`` when it is given; it must not overlap ``x``.
     """
+    count = x.shape[-1] - m + 1
     if m == 1:
-        return x
+        if out is None:
+            return x
+        out[...] = x
+        return out
     if m < 8:
         # numpy adds fewer than 8 terms one after another onto 0.0, so shifted
         # adds onto x + 0.0 (which turns -0.0 into 0.0) give the same totals
-        count = x.shape[-1] - m + 1
-        total = x[..., :count] + 0.0
+        total = np.add(x[..., :count], 0.0, out=out)
         for k in range(1, m):
             total += x[..., k : k + count]
         return total
     if m <= _WINDOW_SUM_SWITCH or x.ndim > 1:
-        return sliding_window_view(x, m, axis=-1).sum(axis=-1)
+        return sliding_window_view(x, m, axis=-1).sum(axis=-1, out=out)
     cs = np.concatenate([[0.0], np.cumsum(x)])
-    return cs[m:] - cs[:-m]
+    return np.subtract(cs[m:], cs[:-m], out=out)
 
 
 def _pairwise_sum(leaf, count: int, lo: int = 0):

@@ -6,8 +6,11 @@ moments, and summarize how close the standardized values sit to the standard
 normal.  Replications are evaluated in chunks, one matrix row each, so the
 sort, the spacing arithmetic and the exact sums run over whole chunks; every
 statistic value equals the one-sample evaluation of the same draws, so the
-result does not depend on the chunk boundaries.  A direct stationary-stream
-estimator of the per-window variance coefficient lives here as well.
+result does not depend on the chunk boundaries.  Each run allocates one
+:class:`~mspacings.statistics.ChunkWorkspace` at its largest chunk shape, and
+every chunk is drawn, sorted and evaluated in its buffers.  A direct
+stationary-stream estimator of the per-window variance coefficient lives here
+as well.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .lagcov import (
 )
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
-from .statistics import KIND_VARIANTS, evaluate_rows, resolve_kind
+from .statistics import KIND_VARIANTS, ChunkWorkspace, evaluate_rows, resolve_kind
 
 # the constant of specfun.normal_cdf, so the KS distance matches it bit for bit
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -99,16 +102,20 @@ def ks_distance_to_normal(z_values) -> float:
     return max(d_plus, d_minus)
 
 
-def _evaluate_chunk(config: McConfig, kind, first: int, count: int) -> np.ndarray:
-    """Statistic values of replications first .. first + count - 1.
+def _evaluate_chunk(config: McConfig, kind, first: int, count: int,
+                    work: ChunkWorkspace) -> np.ndarray:
+    """Statistic values of replications first .. first + count - 1, drawn,
+    sorted and evaluated in the buffers of ``work``.
 
-    A chunk that fails is evaluated again row by row, so the error names the
-    first failing replication and carries the error its one-sample
-    evaluation raises.
+    A chunk that fails is evaluated again row by row from its points, which
+    the evaluation leaves intact, so the error names the first failing
+    replication and carries the error its one-sample evaluation raises.
     """
-    points = anchored_points(SeededStream.rows(config.seed, first, count, config.n - 1))
+    points = work.points[:count]
+    SeededStream.rows(config.seed, first, count, config.n - 1, out=points[:, 1:])
+    anchored_points(points[:, 1:], out=points)
     try:
-        return evaluate_rows(points, config.m, kind, config.variant)
+        return evaluate_rows(points, config.m, kind, config.variant, work)
     except MSpacingsError:
         for row in range(count):
             try:
@@ -140,9 +147,10 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
     start = time.perf_counter() if measure_time else None
     z = np.empty(config.replications)
     rows = max(1, CHUNK_VALUES // config.n)
+    work = ChunkWorkspace(min(rows, config.replications), config.n, config.m)
     for first in range(0, config.replications, rows):
         count = min(rows, config.replications - first)
-        values = _evaluate_chunk(config, kind, first, count)
+        values = _evaluate_chunk(config, kind, first, count, work)
         z[first : first + count] = (values - moments.mean) / sd
 
     elapsed = time.perf_counter() - start if measure_time else None

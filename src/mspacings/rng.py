@@ -71,15 +71,18 @@ class SeededStream:
 
     @classmethod
     def rows(cls, seed: int, first: int, count: int, width: int,
-             draw: str = "uniforms", wrap: int = 0) -> np.ndarray:
+             draw: str = "uniforms", wrap: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
         """(count, width + wrap) draws for replications first .. first + count - 1.
 
         Row r holds ``width`` values of ``draw`` ("uniforms" or
         "exponentials") from stream (seed, first + r), followed by a copy of
         its first ``wrap`` values (the circular extension of the row).  Each
         row is exactly what a one-replication draw of that stream returns.
+        The rows are written into ``out`` when it is given.
         """
-        out = np.empty((count, width + wrap))
+        if out is None:
+            out = np.empty((count, width + wrap))
         for row in range(count):
             out[row, :width] = getattr(cls(seed, first + row), draw)(width)
         out[:, width:] = out[:, :wrap]

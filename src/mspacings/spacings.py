@@ -60,6 +60,11 @@ class SpacingScheme:
     def disjoint(cls, m: int) -> "SpacingScheme":
         return cls("disjoint", m)
 
+    def count(self, n: int) -> int:
+        """Number of spacings of a sample of n arcs: n, or floor(n/m) disjoint
+        blocks."""
+        return n // self.m if self.mode == "disjoint" else n
+
 
 @dataclass(frozen=True)
 class SpacingsVector:
@@ -71,12 +76,14 @@ class SpacingsVector:
     n: int
 
 
-def anchored_points(values) -> np.ndarray:
+def anchored_points(values, out: np.ndarray | None = None) -> np.ndarray:
     """Anchored circular points of every row of a (rows, k) observation matrix.
 
     Row r of the result holds the anchor 0 followed by row r of ``values``
     sorted ascending, so a (rows, k) matrix becomes (rows, k + 1) points.  Ties
-    are kept; they surface later as zero spacings.
+    are kept; they surface later as zero spacings.  The points are written
+    into ``out`` when it is given; ``values`` may be ``out[:, 1:]`` itself,
+    and is then sorted in place.
 
     Raises
     ------
@@ -89,15 +96,17 @@ def anchored_points(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape[1] == 0:
         raise EmptyInput("need at least one observation")
-    ok = (arr >= 0.0) & (arr < 1.0)  # NaN fails both comparisons
-    if not ok.all():
+    # NaN fails both comparisons, and min/max propagate it
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
+        ok = (arr >= 0.0) & (arr < 1.0)
         row, i = (int(k) for k in np.argwhere(~ok)[0])
         raise ValueOutOfRange(i, float(arr[row, i]))
-    pts = np.empty((arr.shape[0], arr.shape[1] + 1), dtype=np.float64)
-    pts[:, 0] = 0.0
-    pts[:, 1:] = arr
-    pts[:, 1:].sort(axis=1)
-    return pts
+    if out is None:
+        out = np.empty((arr.shape[0], arr.shape[1] + 1), dtype=np.float64)
+    out[:, 0] = 0.0
+    out[:, 1:] = arr  # a no-op when arr is this very view
+    out[:, 1:].sort(axis=1)
+    return out
 
 
 def from_unit_observations(values) -> CircularSample:
@@ -120,27 +129,35 @@ def from_unit_observations(values) -> CircularSample:
     return CircularSample(pts)
 
 
-def spacing_rows(points: np.ndarray, scheme: SpacingScheme) -> np.ndarray:
+def spacing_rows(points: np.ndarray, scheme: SpacingScheme,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Arc lengths under ``scheme`` of every row of a (rows, n) matrix of
-    anchored sorted points, as a (rows, count) matrix.
+    anchored sorted points, as a (rows, count) matrix, written into ``out``
+    when it is given.
 
     Simple and overlapping spacings both have n columns; the overlapping ones
     wrap around the circle (the point k past the top is 1 plus point k).
     Disjoint spacings keep only the floor(n/m) complete blocks.
     """
-    n = points.shape[1]
+    rows, n = points.shape
     m = scheme.m
     if m >= n:
         raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
-    if scheme.mode == "simple":
-        return np.diff(points, axis=1, append=1.0)
-    if scheme.mode == "overlapping":
-        vals = np.empty(points.shape)
-        np.subtract(points[:, m:], points[:, :-m], out=vals[:, : n - m])
-        np.subtract(1.0 + points[:, :m], points[:, n - m :], out=vals[:, n - m :])
-        return vals
-    ext = np.concatenate([points, np.ones((points.shape[0], 1))], axis=1)
-    return np.diff(ext[:, np.arange(n // m + 1) * m], axis=1)
+    if out is None:
+        out = np.empty((rows, scheme.count(n)))
+    if scheme.mode == "disjoint":
+        # block boundaries are the points 0, m, 2m, ..., then 1.0 if m divides n
+        bounds = points[:, ::m]
+        inner = bounds.shape[1] - 1
+        np.subtract(bounds[:, 1:], bounds[:, :-1], out=out[:, :inner])
+        if inner < out.shape[1]:
+            np.subtract(1.0, bounds[:, -1], out=out[:, -1])
+        return out
+    np.subtract(points[:, m:], points[:, :-m], out=out[:, : n - m])
+    tail = out[:, n - m :]
+    np.add(1.0, points[:, :m], out=tail)
+    np.subtract(tail, points[:, n - m :], out=tail)
+    return out
 
 
 def m_spacings(sample: CircularSample, scheme: SpacingScheme) -> SpacingsVector:

@@ -10,7 +10,9 @@ functions below are its one-row case.
 
 Variants
 --------
-Z : circular sum of a tuple function over all n windows of simple spacings.
+Z : circular sum of a tuple function over all n windows of simple spacings,
+    or of a statistic kind over the n window totals (the values of V, summed
+    a second way).
 V : circular sum of a scalar function of the overlapping m-spacings.
 W : like V but restricted to the n - m windows that do not wrap.
 Q : sum over the floor(n/m) disjoint blocks.
@@ -33,6 +35,7 @@ from .errors import (
     UnsupportedKind,
     ZeroSpacing,
 )
+from .lagcov import window_sums
 from .spacings import CircularSample, SpacingScheme, spacing_rows
 
 
@@ -94,9 +97,7 @@ class TupleFunctionFamily:
         groups: dict[int, list[int]] = {}
         for k, f in enumerate(fns):
             groups.setdefault(id(f), []).append(k)
-        frozen = tuple(
-            (fns[rows[0]], np.asarray(rows, dtype=np.intp)) for rows in groups.values()
-        )
+        frozen = tuple((fns[rows[0]], _positions(rows)) for rows in groups.values())
         object.__setattr__(self, "functions", fns)
         object.__setattr__(self, "_groups", frozen)
 
@@ -121,15 +122,37 @@ class TupleFunctionFamily:
         """
         lead = windows.shape[:-2]
         out = np.empty(lead + (len(self.functions),), dtype=np.float64)
-        for fn, rows in self._groups:
-            picked = windows[..., rows, :]
-            out[..., rows] = fn.evaluate(picked.reshape(-1, self.arity)).reshape(picked.shape[:-1])
+        for fn, positions in self._groups:
+            picked = windows[..., positions, :]
+            out[..., positions] = fn.evaluate(picked.reshape(-1, self.arity)).reshape(
+                picked.shape[:-1])
         return out
 
 
-def _xlogx(u: np.ndarray) -> np.ndarray:
+def _positions(rows: list[int]):
+    """Ascending window positions as a slice when they are evenly spaced
+    (a view, not a gathered copy), otherwise as an index array."""
+    steps = set(np.diff(rows).tolist())
+    if len(steps) > 1:
+        return np.asarray(rows, dtype=np.intp)
+    return slice(rows[0], rows[-1] + 1, steps.pop() if steps else 1)
+
+
+def _xlogx(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u log u, and +0.0 wherever u is not positive (zero, -0.0, NaN or
+    negative), written into ``out`` when it is given.  ``out`` must not
+    overlap ``u``: the logarithms are stored there before the products."""
     u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
+    if out is not None and np.may_share_memory(u, out):
+        raise ValueError("out must not overlap the input")
+    # the minimum is NaN if any entry is; a 0-d result must stay an array
+    if u.ndim and u.size and u.min() > 0.0:
+        out = np.log(u, out=out)
+        return np.multiply(u, out, out=out)
+    if out is None:
+        out = np.zeros_like(u)
+    else:
+        out[...] = 0.0
     pos = u > 0.0
     out[pos] = u[pos] * np.log(u[pos])
     return out
@@ -167,7 +190,8 @@ MORAN = StatisticKind("moran", np.log, requires_positive=True)
 #: x log x with the 0 log 0 = 0 convention.
 ENTROPY = StatisticKind("entropy", _xlogx)
 
-_KINDS_BY_NAME = {k.name: k for k in (GREENWOOD, MORAN, ENTROPY)}
+_NAMED_KINDS = (GREENWOOD, MORAN, ENTROPY)
+_KINDS_BY_NAME = {k.name: k for k in _NAMED_KINDS}
 
 
 def custom_sum(fn: Callable, name: str = "custom-sum", requires_positive: bool = False) -> StatisticKind:
@@ -198,7 +222,7 @@ class StatisticResult:
     summand_count: int
 
 
-def exact_row_sums(matrix) -> np.ndarray:
+def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
     """Correctly rounded sum of every row of a 2-D matrix of finite doubles,
     equal bit for bit to ``math.fsum`` of the row.
 
@@ -212,11 +236,18 @@ def exact_row_sums(matrix) -> np.ndarray:
     rounded once by ``math.fsum``.  A row whose maximum is too large for
     ``sigma`` to be finite (or that holds a non-finite value) is summed by
     ``math.fsum`` directly.
+
+    Given ``scratch``, a float64 array of the matrix's shape that does not
+    overlap it, the float64 ``matrix`` is reduced in place and both are
+    overwritten; otherwise the matrix is copied first.
     """
-    p = np.array(matrix, dtype=np.float64)
+    if scratch is None:
+        p = np.array(matrix, dtype=np.float64)
+        q = np.empty_like(p)
+    else:
+        p, q = matrix, scratch
     rows, count = p.shape
     shift = (count + 1).bit_length()
-    q = np.empty_like(p)
     top = np.abs(p, out=q).max(axis=1, initial=0.0)
     direct = {}
     for r in np.flatnonzero(~(top < math.ldexp(1.0, 1023 - shift))).tolist():
@@ -243,19 +274,55 @@ def _first(mask: np.ndarray) -> tuple[int, int]:
     return divmod(int(np.flatnonzero(mask)[0]), mask.shape[1])
 
 
-def _scaled_rows(points: np.ndarray, scheme: SpacingScheme) -> np.ndarray:
-    """Spacing rows multiplied by the arc count n."""
-    scaled = spacing_rows(points, scheme)
-    scaled *= points.shape[1]
+class ChunkWorkspace:
+    """Buffers for evaluating chunks of at most ``rows`` rows of n anchored
+    points at order m, allocated once and reused by every chunk.
+
+    ``points`` holds a chunk's points, ``values`` its spacings (or window
+    totals) and then the remainders of the exact sums, and ``summands`` the
+    summands, with m - 1 more columns for the circular extension of the
+    simple spacings.  The summands never overwrite ``points``.
+
+    The three arrays share one allocation.  glibc's malloc maps the first
+    block this large and, when it is freed, raises its heap trim threshold to
+    twice the block's size; later workspaces of that size then come from the
+    heap and keep their pages, instead of being returned to the system and
+    faulted in again on every call.
+    """
+
+    def __init__(self, rows: int, n: int, m: int):
+        # an order outside [1, n) is rejected before the extension is used
+        width = n + min(max(m, 1), n) - 1
+        block = np.empty(rows * (2 * n + width))
+        self.points = block[: rows * n].reshape(rows, n)
+        self.values = block[rows * n : 2 * rows * n].reshape(rows, n)
+        self.summands = block[2 * rows * n :].reshape(rows, width)
+
+
+def _scaled_rows(points: np.ndarray, scheme: SpacingScheme, out: np.ndarray) -> np.ndarray:
+    """Spacing rows multiplied by the arc count n, written into the first
+    columns of ``out``."""
+    rows, n = points.shape
+    scaled = spacing_rows(points, scheme, out[:rows, : scheme.count(n)])
+    scaled *= n
     return scaled
 
 
-def _kind_summands(kind: StatisticKind, x: np.ndarray) -> np.ndarray:
+def _apply_kind(kind: StatisticKind, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``kind.sum_fn(x)`` written into ``out``, which must not overlap ``x``;
+    the named kinds write there directly."""
+    with np.errstate(all="ignore"):
+        if kind in _NAMED_KINDS:
+            return kind.sum_fn(x, out=out)
+        out[...] = kind.sum_fn(x)
+    return out
+
+
+def _kind_summands(kind: StatisticKind, x: np.ndarray, work: ChunkWorkspace) -> np.ndarray:
     """``kind.sum_fn`` of scaled spacing rows, checking its domain."""
     if kind.requires_positive and not (x > 0.0).all():
         raise ZeroSpacing(_first(x <= 0.0)[1])
-    with np.errstate(all="ignore"):
-        hv = np.asarray(kind.sum_fn(x), dtype=np.float64)
+    hv = _apply_kind(kind, x, work.summands[: x.shape[0], : x.shape[1]])
     bad = ~np.isfinite(hv)
     if bad.any():
         r, k = _first(bad)
@@ -263,20 +330,55 @@ def _kind_summands(kind: StatisticKind, x: np.ndarray) -> np.ndarray:
     return hv
 
 
-def _overlapping_summands(points: np.ndarray, m: int, kind: StatisticKind) -> np.ndarray:
-    return _kind_summands(kind, _scaled_rows(points, SpacingScheme.overlapping(m)))
+def _overlapping_summands(points: np.ndarray, m: int, kind: StatisticKind,
+                          work: ChunkWorkspace) -> np.ndarray:
+    x = _scaled_rows(points, SpacingScheme.overlapping(m), work.values)
+    return _kind_summands(kind, x, work)
 
 
-def _line_summands(points: np.ndarray, m: int, kind: StatisticKind) -> np.ndarray:
-    x = _scaled_rows(points, SpacingScheme.overlapping(m))
-    return _kind_summands(kind, x[:, : points.shape[1] - m])
+def _line_summands(points: np.ndarray, m: int, kind: StatisticKind,
+                   work: ChunkWorkspace) -> np.ndarray:
+    x = _scaled_rows(points, SpacingScheme.overlapping(m), work.values)
+    return _kind_summands(kind, x[:, : points.shape[1] - m], work)
 
 
-def _disjoint_summands(points: np.ndarray, m: int, kind: StatisticKind) -> np.ndarray:
-    return _kind_summands(kind, _scaled_rows(points, SpacingScheme.disjoint(m)))
+def _disjoint_summands(points: np.ndarray, m: int, kind: StatisticKind,
+                       work: ChunkWorkspace) -> np.ndarray:
+    x = _scaled_rows(points, SpacingScheme.disjoint(m), work.values)
+    return _kind_summands(kind, x, work)
 
 
-def _window_summands(points: np.ndarray, m: int, fn) -> np.ndarray:
+def _extended_simple(points: np.ndarray, m: int, work: ChunkWorkspace) -> np.ndarray:
+    """The scaled simple spacings of every row followed by their first m - 1,
+    so that every window of m consecutive arcs is a slice, in the summand
+    buffer."""
+    n = points.shape[1]
+    if m < 1:
+        raise ValueError(f"window order must be >= 1, got {m}")
+    if m >= n:
+        raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
+    ext = work.summands[: len(points), : n + m - 1]
+    _scaled_rows(points, SpacingScheme.simple(), ext)
+    ext[:, n:] = ext[:, : m - 1]
+    return ext
+
+
+def _total_summands(points: np.ndarray, m: int, kind: StatisticKind,
+                    work: ChunkWorkspace) -> np.ndarray:
+    """``kind.sum_fn`` of the total of every window of m consecutive scaled
+    simple spacings, row k starting at arc k: the same values as its tuple
+    function ``kind.as_tuple_function(m)``, without a copy of the windows."""
+    totals = window_sums(_extended_simple(points, m, work), m,
+                         work.values[: len(points), : points.shape[1]])
+    hv = _apply_kind(kind, totals, work.summands[: len(points), : points.shape[1]])
+    bad = ~np.isfinite(hv)
+    if bad.any():
+        r, k = _first(bad)
+        raise DomainViolation(k, f"value {hv[r, k]!r}")
+    return hv
+
+
+def _window_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np.ndarray:
     """A tuple function (or a family, one function per position) of every
     window of m consecutive scaled simple spacings, row k starting at arc k."""
     n = points.shape[1]
@@ -285,12 +387,7 @@ def _window_summands(points: np.ndarray, m: int, fn) -> np.ndarray:
         raise FamilyLengthMismatch(f"family has {len(fn)} functions, sample has {n} arcs")
     if fn.arity != m:
         raise ValueError(f"tuple function has arity {fn.arity}, expected {m}")
-    if m >= n:
-        raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
-    s = _scaled_rows(points, SpacingScheme.simple())
-    if m > 1:
-        s = np.concatenate([s, s[:, : m - 1]], axis=1)
-    windows = sliding_window_view(s, m, axis=1)
+    windows = sliding_window_view(_extended_simple(points, m, work), m, axis=1)
     if family:
         positive = np.array([f.requires_positive for f in fn.functions])
     else:
@@ -308,69 +405,85 @@ def _window_summands(points: np.ndarray, m: int, fn) -> np.ndarray:
     if bad.any():
         r, k = _first(bad)
         raise DomainViolation(k, f"value {hv[r, k]!r}")
-    return hv
+    out = work.summands[: len(points), :n]
+    out[...] = hv
+    return out
 
 
-def _kind(fn, m: int) -> StatisticKind:
-    return resolve_kind(fn)
+def _circular_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np.ndarray:
+    """Variant Z: a statistic kind of the window totals, or a tuple function
+    of the windows."""
+    if isinstance(fn, StatisticKind):
+        return _total_summands(points, m, fn, work)
+    return _window_summands(points, m, fn, work)
 
 
-def _tuple_function(fn, m: int) -> TupleFunction:
-    return fn if isinstance(fn, TupleFunction) else resolve_kind(fn).as_tuple_function(m)
-
-
-def _family(fn, m: int) -> TupleFunctionFamily:
-    return fn
+def _window_function(fn):
+    """A tuple function as given, anything else as a statistic kind."""
+    return fn if isinstance(fn, TupleFunction) else resolve_kind(fn)
 
 
 @dataclass(frozen=True)
 class Variant:
     """One statistic variant.
 
-    ``resolve(fn, m)`` turns the caller's function argument into what
-    ``summands(points, m, fn)`` evaluates, which maps a (rows, n) matrix of
-    anchored sorted points to the (rows, count) matrix of summands.
+    ``resolve(fn)`` turns the caller's function argument into what
+    ``summands(points, m, fn, work)`` evaluates (None takes it as given);
+    ``summands`` maps a (rows, n) matrix of anchored sorted points to the
+    (rows, count) matrix of summands, in ``work.summands``.
     """
 
     name: str
-    resolve: Callable
+    resolve: Callable | None
     summands: Callable
 
 
 #: The one table of statistic variants, keyed by their lower-case letter.
 VARIANTS = {
-    "v": Variant("V", _kind, _overlapping_summands),
-    "w": Variant("W", _kind, _line_summands),
-    "q": Variant("Q", _kind, _disjoint_summands),
-    "z": Variant("Z", _tuple_function, _window_summands),
-    "r": Variant("R", _family, _window_summands),
+    "v": Variant("V", resolve_kind, _overlapping_summands),
+    "w": Variant("W", resolve_kind, _line_summands),
+    "q": Variant("Q", resolve_kind, _disjoint_summands),
+    "z": Variant("Z", _window_function, _circular_summands),
+    "r": Variant("R", None, _window_summands),
 }
 
 #: Variants that evaluate a scalar statistic kind (the CLI's and the simulator's).
 KIND_VARIANTS = ("v", "w", "q", "z")
 
 
-def evaluate_rows(points: np.ndarray, m: int, fn, variant: str) -> np.ndarray:
+def _evaluate(points: np.ndarray, m: int, fn, variant: str,
+              work: ChunkWorkspace | None):
+    """(resolved fn, summand count, row values) of ``variant`` on ``points``."""
+    spec = VARIANTS[variant]
+    if spec.resolve is not None:
+        fn = spec.resolve(fn)
+    if work is None:
+        work = ChunkWorkspace(*points.shape, m)
+    hv = spec.summands(points, m, fn, work)
+    rows, count = hv.shape
+    return fn, count, exact_row_sums(hv, work.values[:rows, :count])
+
+
+def evaluate_rows(points: np.ndarray, m: int, fn, variant: str,
+                  work: ChunkWorkspace | None = None) -> np.ndarray:
     """Values of statistic ``variant`` on every row of a (rows, n) matrix of
     anchored sorted points, each reduced by :func:`exact_row_sums`.
 
     ``fn`` is a statistic kind (or its name) for v, w, q and z, a tuple
     function for z, and a family for r.  Domain errors report the first
-    failing summand of the first failing row, in row-major order.
+    failing summand of the first failing row, in row-major order.  ``work``
+    supplies the buffers (a fresh workspace by default); ``points`` may be
+    ``work.points`` or a view of it, and is left unchanged.
     """
-    spec = VARIANTS[variant]
-    return exact_row_sums(spec.summands(points, m, spec.resolve(fn, m)))
+    return _evaluate(points, m, fn, variant, work)[2]
 
 
 def evaluate(sample: CircularSample, m: int, fn, variant: str) -> StatisticResult:
     """Statistic ``variant`` of one sample: the one-row case of
     :func:`evaluate_rows`."""
-    spec = VARIANTS[variant]
-    fn = spec.resolve(fn, m)
-    hv = spec.summands(sample.points.reshape(1, -1), m, fn)
-    return StatisticResult(value=float(exact_row_sums(hv)[0]), kind=fn.name,
-                           n=sample.arc_count, m=m, variant=spec.name,
-                           summand_count=hv.shape[1])
+    fn, count, values = _evaluate(sample.points.reshape(1, -1), m, fn, variant, None)
+    return StatisticResult(value=float(values[0]), kind=fn.name, n=sample.arc_count,
+                           m=m, variant=VARIANTS[variant].name, summand_count=count)
 
 
 def statistic_Z(sample: CircularSample, m: int, h: TupleFunction) -> StatisticResult:

@@ -215,6 +215,19 @@ class TestChunkedEngine:
             monkeypatch.setattr(montecarlo, "CHUNK_VALUES", values)
             assert simulate_null(config) == reference
 
+    def test_back_to_back_calls_equal_the_loop(self, monkeypatch):
+        # each call has its own workspace, whatever ran before it
+        configs = [
+            McConfig(n=self.N, m=2, kind="entropy", replications=30, seed=3, variant="z"),
+            McConfig(n=60, m=5, kind="moran", replications=7, seed=3, variant="q"),
+            McConfig(n=700, m=3, kind="greenwood", replications=95, seed=4, variant="w"),
+            McConfig(n=self.N, m=1, kind="moran", replications=14, seed=5, variant="v"),
+        ]
+        expected = [_looped_summary(config) for config in configs]
+        assert [simulate_null(config) for config in configs] == expected
+        monkeypatch.setattr(montecarlo, "CHUNK_VALUES", 1 << 24)  # rows exceed replications
+        assert [simulate_null(config) for config in reversed(configs)] == expected[::-1]
+
     @staticmethod
     def _streams_with(overrides):
         """Seeded streams, except that the stream ids in ``overrides`` draw

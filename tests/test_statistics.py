@@ -228,8 +228,101 @@ class TestR:
                 assert np.array_equal(out[i, j], fam.evaluate_all(stack[i, j]))
 
 
+    @pytest.mark.parametrize("members", [
+        lambda sq, pair: (sq, pair) * 4,                          # two strided groups
+        lambda sq, pair: (sq,) * 3 + (pair,) * 5,                 # two contiguous runs
+        lambda sq, pair: (sq, sq, pair, sq, pair, pair, sq, sq),  # irregular groups
+    ])
+    def test_evaluate_all_equals_per_position_evaluation(self, members):
+        pair = TupleFunction(lambda u, v: u - 2.0 * v, arity=2, name="pair")
+        fam = TupleFunctionFamily(members(square_tuple(2), pair))
+        stack = np.random.default_rng(5).random((3, 8, 2))
+        expected = [[f.evaluate(stack[i, k : k + 1])[0].hex() for k, f in enumerate(fam.functions)]
+                    for i in range(3)]
+        assert [[v.hex() for v in row] for row in fam.evaluate_all(stack).tolist()] == expected
+
+
+class TestZOfAKind:
+    """Z of a statistic kind applies it to window totals; its values equal the
+    kind's tuple function on the windows themselves bit for bit."""
+
+    @staticmethod
+    def _both(points, m, kind):
+        by_totals = evaluate_rows(points, m, kind, "z")
+        by_windows = evaluate_rows(points, m, kind.as_tuple_function(m), "z")
+        return [v.hex() for v in by_totals.tolist()], [v.hex() for v in by_windows.tolist()]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equals_tuple_function(self, m):
+        rng = np.random.default_rng(m)
+        shifted = custom_sum(lambda x: np.square(x - 1.5), name="shifted-square")
+        for n in (m + 1, 50, 300):
+            points = anchored_points(rng.random((7, n - 1)))
+            for kind in (GREENWOOD, MORAN, ENTROPY, shifted):
+                by_totals, by_windows = self._both(points, m, kind)
+                assert by_totals == by_windows, (kind.name, n)
+
+    def test_result_names_the_kind(self, sample):
+        r = statistic_Z(sample, 2, "moran")
+        assert (r.kind, r.variant, r.summand_count) == ("moran", "Z", 4)
+        assert r.value == statistic_Z(sample, 2, MORAN.as_tuple_function(2)).value
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_total_raises_the_same_error(self, m):
+        values = np.random.default_rng(9).random((3, 20))
+        values[1, 4 : 4 + m] = values[1, 3]  # m zero spacings in a row
+        points = anchored_points(values)
+        errors = []
+        for fn in (MORAN, MORAN.as_tuple_function(m)):
+            with pytest.raises(DomainViolation) as err:
+                evaluate_rows(points, m, fn, "z")
+            errors.append((err.value.index, str(err.value)))
+        assert errors[0] == errors[1]
+        assert "-inf" in errors[0][1]
+
+    def test_order_checks(self, sample):
+        with pytest.raises(OrderTooLarge):
+            statistic_Z(sample, 4, "greenwood")
+        with pytest.raises(ValueError):
+            statistic_Z(sample, 0, "greenwood")
+        with pytest.raises(UnsupportedKind):
+            statistic_Z(sample, 1, TupleFunctionFamily((square_tuple(1),) * 4))
+
+
 class TestXlogx:
     """The entropy summand: u log u where u > 0, else +0.0."""
+
+    def test_out_on_positive_rows(self):
+        u = np.random.default_rng(6).standard_exponential((13, 500))
+        expected = [v.hex() for v in (u * np.log(u)).ravel().tolist()]
+        out = np.full((13, 600), np.nan)
+        got = _xlogx(u, out=out[:, :500])
+        assert got.base is out
+        assert [v.hex() for v in out[:, :500].ravel().tolist()] == expected
+        # a view with a row stride, as for the line variant
+        got = _xlogx(u[:, :400], out=np.empty((13, 400)))
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            v.hex() for v in (u[:, :400] * np.log(u[:, :400])).ravel().tolist()]
+
+    def test_out_on_mixed_input(self):
+        u = np.array([[2.0, 0.0, -0.0], [np.nan, -3.0, 0.5]])
+        out = np.full(u.shape, 7.0)
+        assert _xlogx(u, out=out) is out
+        assert [v.hex() for v in out.ravel().tolist()] == [
+            v.hex() for v in _xlogx(u).ravel().tolist()]
+
+    @pytest.mark.parametrize("value", [2.5, 0.0])
+    def test_out_zero_dimensional(self, value):
+        out = np.full((), 7.0)
+        assert _xlogx(np.float64(value), out=out) is out
+        assert float(out).hex() == float(_xlogx(np.float64(value))).hex()
+
+    def test_out_must_not_overlap_input(self):
+        u = np.random.default_rng(7).random((3, 8)) + 0.5
+        with pytest.raises(ValueError):
+            _xlogx(u, out=u)
+        with pytest.raises(ValueError):
+            _xlogx(u[:, 1:], out=u[:, :-1])
 
     def test_positive_entries_are_u_log_u(self):
         u = np.random.default_rng(4).standard_exponential((13, 500))
