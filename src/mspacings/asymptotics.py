@@ -210,14 +210,6 @@ def exact_mean_correction(kind, n: int, m: int) -> float:
     raise UnsupportedKind(f"no exact mean correction for kind {kind.name!r}")
 
 
-def _as_tuple_function(h, m: int) -> TupleFunction:
-    if isinstance(h, TupleFunction):
-        if h.arity != m:
-            raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
-        return h
-    return resolve_kind(h).as_tuple_function(m)
-
-
 def _finite_or_raise(hv: np.ndarray) -> None:
     if not np.isfinite(hv).all():
         k = int(np.flatnonzero(~np.isfinite(hv))[0])
@@ -235,15 +227,23 @@ def mean_correction(h, m: int, draws: int, seed: int, stream_id: int = 0) -> Est
     the total of an iid standard-exponential m-window, by plain Monte Carlo
     over independent windows.  ``h`` may be a StatisticKind (applied to the
     total) or a TupleFunction of arity m.
+
+    The window totals are taken once, by column adds (``window_sums``), and
+    serve both a kind and w; they equal ``x.sum(axis=1)`` bit for bit, so a
+    kind gives the same values as its tuple function (``as_tuple_function``).
     """
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
-    tf = _as_tuple_function(h, m)
+    if not isinstance(h, TupleFunction):
+        h = resolve_kind(h)
+    elif h.arity != m:
+        raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
     x = SeededStream(seed, stream_id).exponentials(draws * m).reshape(draws, m)
+    totals = window_sums(x, m)[:, 0]
     with np.errstate(all="ignore"):
-        hv = tf.evaluate(x)
+        hv = h.evaluate(x) if isinstance(h, TupleFunction) else h.sum_fn(totals)
     _finite_or_raise(hv)
-    dev = x.sum(axis=1) - m
+    dev = totals - m
     target = dev - dev * dev
     full = 0.5 * _mean_cov(hv, target)
     size = draws // DEFAULT_BATCHES
@@ -254,7 +254,15 @@ def mean_correction(h, m: int, draws: int, seed: int, stream_id: int = 0) -> Est
     return Estimate(full, batch_std_error(batch_vals))
 
 
-def _holst_comparison(h, m: int, draws: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:
+def holst_comparison(h, m: int, draws: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:
+    """Both per-window variance assemblies from one stationary stream, and
+    their difference.
+
+    Returns (holst, corrected, holst - corrected), each with a batch-means
+    standard error; see :func:`holst_vs_corrected`.
+    """
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     _, hv, w = stream_window_values(h, m, draws, seed)
     full = components(hv, w, m)
     batch = batched_components(hv, w, m)
@@ -273,9 +281,7 @@ def holst_vs_corrected(h, m: int, draws: int, seed: int) -> tuple[Estimate, Esti
     same lag-covariance accumulators, so at m = 1 they coincide exactly; no
     ordering between them is asserted at any order.
     """
-    if draws < MIN_DRAWS:
-        raise ValueError(f"draws must be >= {MIN_DRAWS}")
-    holst, corrected, _ = _holst_comparison(h, m, draws, seed)
+    holst, corrected, _ = holst_comparison(h, m, draws, seed)
     return holst, corrected
 
 
@@ -293,7 +299,8 @@ def estimate_general_moments(
     Replications are drawn and evaluated in chunks, one matrix row each, and
     their moments are added into the sums one replication after another, so
     every result equals that of a loop over single replications bit for bit,
-    wherever the chunk boundaries fall.
+    wherever the chunk boundaries fall.  Every chunk is drawn and evaluated
+    into one block of memory, allocated once per call.
     """
     if len(family) != n:
         raise FamilyLengthMismatch(f"family has {len(family)} functions, need n={n}")
@@ -313,24 +320,32 @@ def estimate_general_moments(
     # h times h at lag d (row 3 + d)
     sums = np.zeros((batches, 3 + m, n))
     rows = max(1, CHUNK_VALUES // (n + m - 1))
+    # one block, allocated once, holds a chunk's draws and its terms (see
+    # statistics.ChunkWorkspace); terms[1 + r] holds replication first + r
+    cap = min(rows, replications)
+    block = np.empty(cap * (n + m - 1) + (cap + 1) * (3 + m) * n)
+    ext_all = block[: cap * (n + m - 1)].reshape(cap, n + m - 1)
+    terms_all = block[cap * (n + m - 1) :].reshape(cap + 1, 3 + m, n)
     for first in range(0, replications, rows):
         last = min(first + rows, replications)
-        ext = SeededStream.rows(seed, first, last - first, n, "exponentials", wrap=m - 1)
-        windows = sliding_window_view(ext, m, axis=1)
+        ext = SeededStream.rows(seed, first, last - first, n, "exponentials", wrap=m - 1,
+                                out=ext_all[: last - first])
+        terms = terms_all[: last - first + 1]
+        hv = terms[1:, 0]
         with np.errstate(all="ignore"):
-            hv = family.evaluate_all(windows)
+            family.evaluate_all(sliding_window_view(ext, m, axis=1), out=hv)
         bad = ~np.isfinite(hv)
         if bad.any():
             r, k = divmod(int(np.flatnonzero(bad)[0]), n)
             raise NonFiniteSample(
                 f"statistic value of replication {first + r} at window {k} is not finite")
-        # terms[1 + r] holds replication first + r
-        terms = np.empty((last - first + 1, 3 + m, n))
-        terms[1:, 0] = hv
-        terms[1:, 1] = window_sums(ext, m)
+        window_sums(ext, m, out=terms[1:, 1])
         np.multiply(hv, terms[1:, 1], out=terms[1:, 2])
+        # h at lag d is hv rolled left by d: two slices
         for d in range(m):
-            np.multiply(hv, np.roll(hv, -d, axis=1), out=terms[1:, 3 + d])
+            lag = terms[1:, 3 + d]
+            np.multiply(hv[:, : n - d], hv[:, d:], out=lag[:, : n - d])
+            np.multiply(hv[:, n - d :], hv[:, :d], out=lag[:, n - d :])
         # add each batch's rows into its sums in replication order: the slot
         # before the rows (free, or a row already added) takes the running
         # sums, and numpy reduces over axis 0 one row after another

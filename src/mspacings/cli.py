@@ -30,9 +30,9 @@ import time
 import numpy as np
 
 from .asymptotics import (
-    _holst_comparison,
     closed_form_moments,
     exact_mean_correction,
+    holst_comparison,
     mean_correction,
     standardize,
 )
@@ -232,7 +232,7 @@ def _cmd_sigma(args: argparse.Namespace) -> dict:
     params = {"statistic": label, "m": args.m, "draws": args.draws,
               "seed": seed, "compare_holst": bool(args.compare_holst)}
     if args.compare_holst:
-        holst, corrected, difference = _holst_comparison(kind, args.m, args.draws, seed)
+        holst, corrected, difference = holst_comparison(kind, args.m, args.draws, seed)
         out = {
             "estimate": corrected.value,
             "std_error": corrected.std_error,

@@ -113,15 +113,16 @@ class TupleFunctionFamily:
         """The symmetric family using the same function at every position."""
         return cls((h,) * n)
 
-    def evaluate_all(self, windows: np.ndarray) -> np.ndarray:
+    def evaluate_all(self, windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Value of function k on window k, for all k at once.
 
         ``windows`` is an (n, m) window matrix or a stack (..., n, m) of
-        them; the result has shape (n,) or (..., n).  Each function is called
-        once, on the windows of all its positions across the whole stack.
+        them; the result has shape (n,) or (..., n) and is written into
+        ``out`` when it is given.  Each function is called once, on the
+        windows of all its positions across the whole stack.
         """
-        lead = windows.shape[:-2]
-        out = np.empty(lead + (len(self.functions),), dtype=np.float64)
+        if out is None:
+            out = np.empty(windows.shape[:-2] + (len(self.functions),), dtype=np.float64)
         for fn, positions in self._groups:
             picked = windows[..., positions, :]
             out[..., positions] = fn.evaluate(picked.reshape(-1, self.arity)).reshape(

@@ -12,6 +12,7 @@ from mspacings import (
     DEFAULT_BATCHES,
     DegenerateVariance,
     EULER_GAMMA,
+    Estimate,
     FamilyLengthMismatch,
     GREENWOOD,
     GeneralMoments,
@@ -27,8 +28,10 @@ from mspacings import (
     custom_sum,
     estimate_general_moments,
     exact_mean_correction,
+    holst_comparison,
     holst_vs_corrected,
     mean_correction,
+    resolve_kind,
     sigma_m_closed_form_large_m,
     standardize,
 )
@@ -223,6 +226,37 @@ class TestMeanCorrection:
         with pytest.raises(NonFiniteSample):
             mean_correction(bad, 1, draws=10_000, seed=0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy", "cube"])
+    def test_kind_equals_numpy_row_sums(self, kind, m):
+        kind = custom_sum(lambda t: t ** 3, name="cube") if kind == "cube" else kind
+        draws = 10_000 + 37 * m
+        got = mean_correction(kind, m, draws, seed=m, stream_id=3)
+        expected = _summed_mean_correction(resolve_kind(kind), m, draws, m, 3)
+        assert (got.value.hex(), got.std_error.hex()) == (
+            expected.value.hex(), expected.std_error.hex())
+
+    def test_tuple_function_arity_checked(self):
+        with pytest.raises(ValueError, match="arity 2, expected 3"):
+            mean_correction(GREENWOOD.as_tuple_function(2), 3, draws=10_000, seed=0)
+
+
+def _summed_mean_correction(kind, m, draws, seed, stream_id):
+    """mean_correction of a kind on numpy's row sums, taken once for the
+    kind and once for the window total."""
+    x = SeededStream(seed, stream_id).exponentials(draws * m).reshape(draws, m)
+    hv = kind.sum_fn(x.sum(axis=1))
+    dev = x.sum(axis=1) - m
+    target = dev - dev * dev
+
+    def half_cov(a, b):
+        return 0.5 * float(np.mean((a - a.mean()) * (b - b.mean())))
+
+    size = draws // DEFAULT_BATCHES
+    batches = [half_cov(hv[i * size : (i + 1) * size], target[i * size : (i + 1) * size])
+               for i in range(DEFAULT_BATCHES)]
+    return Estimate(half_cov(hv, target), batch_std_error(batches))
+
 
 class TestHolstVsCorrected:
     def test_order_one_coincide(self):
@@ -243,6 +277,17 @@ class TestHolstVsCorrected:
     def test_draw_floor(self):
         with pytest.raises(ValueError):
             holst_vs_corrected("greenwood", 2, draws=100, seed=0)
+
+    def test_comparison_draw_floor(self):
+        with pytest.raises(ValueError, match="draws must be >= 10000"):
+            holst_comparison("greenwood", 2, draws=9_999, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_comparison_adds_the_difference(self, m):
+        holst, corrected, difference = holst_comparison("moran", m, draws=20_000, seed=5)
+        assert (holst, corrected) == holst_vs_corrected("moran", m, draws=20_000, seed=5)
+        assert difference.value == holst.value - corrected.value
+        assert difference.std_error >= 0.0
 
 
 class TestEstimateGeneralMoments:
@@ -377,6 +422,16 @@ class TestChunkedGeneralMoments:
         for values in (1, width, 2 * width, 7 * width + 1, 50 * width, 1 << 20):
             monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)
             assert _hex(estimate_general_moments(family, n, m, replications, 4)) == looped
+
+    @pytest.mark.parametrize("values", [1 << 16, 97])
+    def test_back_to_back_calls_equal_loop(self, monkeypatch, values):
+        # each call sizes its own workspace for its n, m and chunk rows
+        monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)
+        for n, m, replications, seed in ((40, 1, 101, 1), (16, 5, 107, 2), (30, 2, 100, 3),
+                                         (24, 3, 130, 4), (40, 1, 101, 5)):
+            family = mixed_family(n, m)
+            looped = _hex(_looped_general_moments(family, n, m, replications, seed))
+            assert _hex(estimate_general_moments(family, n, m, replications, seed)) == looped
 
     def test_vectorized_family_equals_loop(self):
         family = alternating_family(64)

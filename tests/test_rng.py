@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mspacings import SeededStream, derive_stream_key
+from mspacings.rng import _pcg64_states, _stream_keys
+
+MAX64 = 2**64 - 1
+
+
+def numpy_state(key):
+    """(state, increment) of numpy's own seeding of PCG64 with ``key``."""
+    state = np.random.PCG64(key).state["state"]
+    return state["state"], state["inc"]
 
 
 class TestStreamKey:
@@ -109,3 +119,76 @@ class TestRows:
         for r in range(5):
             one = getattr(SeededStream(21, 7 + r), draw)(9)
             assert np.array_equal(rows[r], np.concatenate([one, one[:wrap]]))
+
+    @pytest.mark.parametrize("draw", ["uniforms", "exponentials"])
+    @pytest.mark.parametrize("wrap", [0, 3])
+    @pytest.mark.parametrize("count", [1, 13, 326])
+    def test_rows_equal_single_streams(self, draw, wrap, count):
+        width = 11
+        rows = SeededStream.rows(2**40 + 3, 1000, count, width, draw, wrap=wrap)
+        for r in range(count):
+            one = getattr(SeededStream(2**40 + 3, 1000 + r), draw)(width)
+            assert rows[r].tobytes() == np.concatenate([one, one[:wrap]]).tobytes()
+
+    def test_rows_into_out(self):
+        out = np.full((6, 12), np.nan)
+        rows = SeededStream.rows(4, 2, 5, 10, "exponentials", wrap=2, out=out[:5])
+        assert np.shares_memory(rows, out)
+        assert np.array_equal(rows, SeededStream.rows(4, 2, 5, 10, "exponentials", wrap=2))
+        assert np.isnan(out[5]).all()
+
+    def test_rows_at_the_top_of_the_id_range(self):
+        rows = SeededStream.rows(MAX64, MAX64 - 2, 3, 6)
+        for r in range(3):
+            assert np.array_equal(rows[r], SeededStream(MAX64, MAX64 - 2 + r).uniforms(6))
+
+    @pytest.mark.parametrize("seed, first, count, named", [
+        (-1, 0, 3, "seed -1 "),
+        (2**64, 0, 1, f"seed {2**64} "),
+        (5, -1, 2, "stream_id -1 "),
+        (5, MAX64 - 1, 3, f"stream_id {2**64} "),
+        (5, 2**64 + 7, 2, f"stream_id {2**64 + 7} "),
+    ])
+    def test_rows_reject_ids_outside_64_bits(self, seed, first, count, named):
+        # the error names the first value a loop over single streams meets
+        with pytest.raises(ValueError, match=named):
+            SeededStream.rows(seed, first, count, 4)
+
+    def test_rows_are_drawn_by_instances_of_the_class(self):
+        seen = []
+
+        class Recorded(SeededStream):
+            def uniforms(self, count):
+                seen.append((type(self), self.seed, self.stream_id))
+                return super().uniforms(count)
+
+        rows = Recorded.rows(8, 30, 4, 5)
+        assert seen == [(Recorded, 8, 30 + r) for r in range(4)]
+        assert np.array_equal(rows, SeededStream.rows(8, 30, 4, 5))
+
+
+class TestBatchedKeys:
+    @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, MAX64 - 1, MAX64])
+    def test_edge_keys_match_numpy_seeding(self, key):
+        assert _pcg64_states(np.array([key], dtype=np.uint64)) == [numpy_state(key)]
+
+    @pytest.mark.parametrize("seed, first", [
+        (0, 0), (0, MAX64 - 9), (MAX64, 0), (MAX64, MAX64 - 9), (2**32, 2**32 - 5),
+    ])
+    def test_keys_at_range_edges(self, seed, first):
+        keys = _stream_keys(seed, first, 10)
+        expected = [derive_stream_key(seed, first + r) for r in range(10)]
+        assert keys.dtype == np.uint64 and keys.tolist() == expected
+        assert _pcg64_states(keys) == [numpy_state(key) for key in expected]
+
+    @given(seed=st.integers(0, MAX64), first=st.integers(0, MAX64))
+    def test_keyed_states_match_numpy_seeding(self, seed, first):
+        count = min(7, 2**64 - first)
+        keys = _stream_keys(seed, first, count)
+        expected = [derive_stream_key(seed, first + r) for r in range(count)]
+        assert keys.tolist() == expected
+        assert _pcg64_states(keys) == [numpy_state(key) for key in expected]
+
+    def test_many_keys_in_one_pass(self):
+        keys = _stream_keys(20240611, 0, 2500)
+        assert _pcg64_states(keys) == [numpy_state(key) for key in keys.tolist()]
