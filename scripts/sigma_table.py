@@ -14,7 +14,6 @@ import argparse
 
 from mspacings import (
     closed_form_moments,
-    estimate_sigma_m,
     holst_vs_corrected,
     sigma_m_closed_form_large_m,
 )
@@ -43,13 +42,8 @@ def main() -> None:
         for m in args.m_values:
             closed = closed_form_moments(kind, m + 1, m).per_term_variance
             leading = sigma_m_closed_form_large_m(kind, m)
-            if args.compare_holst:
-                holst, corrected = holst_vs_corrected(kind, m, args.draws, args.seed)
-                extra = f" {holst.value:>12.6g} {holst.std_error:>10.2g}"
-                est = corrected
-            else:
-                est = estimate_sigma_m(kind, m, args.draws, args.seed)
-                extra = ""
+            holst, est = holst_vs_corrected(kind, m, args.draws, args.seed)
+            extra = f" {holst.value:>12.6g} {holst.std_error:>10.2g}" if args.compare_holst else ""
             print(f"{kind:<10} {m:>3d} {closed:>12.6g} {leading:>12.6g} "
                   f"{est.value:>12.6g} {est.std_error:>10.2g}" + extra)
 

@@ -29,7 +29,6 @@ from .lagcov import (
     batch_std_error,
     batched_components,
     components,
-    stream_window_values,
     window_sums,
 )
 from .rng import CHUNK_VALUES, SeededStream
@@ -210,10 +209,41 @@ def exact_mean_correction(kind, n: int, m: int) -> float:
     raise UnsupportedKind(f"no exact mean correction for kind {kind.name!r}")
 
 
-def _finite_or_raise(hv: np.ndarray) -> None:
+def _window_values(h, m: int, stream: SeededStream, shape: tuple[int, ...]):
+    """Exponentials of ``shape`` drawn from ``stream``, with the totals w of
+    every m consecutive draws along the last axis and h on every such window.
+
+    ``h`` is a StatisticKind (or its name), applied to the totals, or a
+    TupleFunction of arity m, applied to the windows.  Returns (x, hv, w),
+    with hv and w flat.
+    """
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    if not isinstance(h, TupleFunction):
+        h = resolve_kind(h)
+    elif h.arity != m:
+        raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
+    x = stream.exponentials(math.prod(shape)).reshape(shape)
+    w = window_sums(x, m).reshape(-1)
+    with np.errstate(all="ignore"):
+        if isinstance(h, TupleFunction):
+            hv = h.evaluate(sliding_window_view(x, m, axis=-1).reshape(-1, m))
+        else:
+            hv = np.asarray(h.sum_fn(w), dtype=np.float64)
     if not np.isfinite(hv).all():
         k = int(np.flatnonzero(~np.isfinite(hv))[0])
-        raise NonFiniteSample(f"statistic value at draw {k} is not finite")
+        raise NonFiniteSample(f"statistic value at window {k} is not finite")
+    return x, hv, w
+
+
+def stream_window_values(h, m: int, draws: int, seed: int, stream_id: int = 0):
+    """One stationary exponential stream of length draws + 2m with its
+    window totals and statistic values.
+
+    ``h`` is a StatisticKind (applied to window totals) or a TupleFunction
+    of arity m (applied to the windows themselves).  Returns (x, hv, w).
+    """
+    return _window_values(h, m, SeededStream(seed, stream_id), (draws + 2 * m,))
 
 
 def _mean_cov(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,15 +264,7 @@ def mean_correction(h, m: int, draws: int, seed: int, stream_id: int = 0) -> Est
     """
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
-    if not isinstance(h, TupleFunction):
-        h = resolve_kind(h)
-    elif h.arity != m:
-        raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
-    x = SeededStream(seed, stream_id).exponentials(draws * m).reshape(draws, m)
-    totals = window_sums(x, m)[:, 0]
-    with np.errstate(all="ignore"):
-        hv = h.evaluate(x) if isinstance(h, TupleFunction) else h.sum_fn(totals)
-    _finite_or_raise(hv)
+    _, hv, totals = _window_values(h, m, SeededStream(seed, stream_id), (draws, m))
     dev = totals - m
     target = dev - dev * dev
     full = 0.5 * _mean_cov(hv, target)

@@ -3,7 +3,9 @@
 Four subcommands: ``test`` runs a uniformity test on a data file, ``simulate``
 replicates the statistic under the null, ``sigma`` estimates the per-window
 variance coefficient, ``meancheck`` compares the first-order mean correction
-against simulation and, where available, an exact value.
+against simulation and, where available, an exact value.  ``meancheck``
+evaluates its simulated samples with variant V of the statistic table, in
+chunks whose boundaries never change its result.
 
 Every run prints one report object: ``{"schema_version", "command", "params",
 "result", "warnings", "elapsed_ms"}``, as JSON (default) or a flat text
@@ -44,10 +46,17 @@ from .errors import (
     ZeroSpacing,
 )
 from .lagcov import MIN_DRAWS
-from .montecarlo import McConfig, estimate_sigma_m, simulate_null
-from .rng import SeededStream
-from .spacings import SpacingScheme, anchored_points, from_unit_observations, spacing_rows
-from .statistics import KIND_VARIANTS, custom_sum, evaluate, resolve_kind
+from .montecarlo import McConfig, simulate_null
+from .rng import CHUNK_VALUES, SeededStream
+from .spacings import anchored_points, from_unit_observations
+from .statistics import (
+    KIND_VARIANTS,
+    VARIANTS,
+    ChunkWorkspace,
+    custom_sum,
+    evaluate,
+    resolve_kind,
+)
 
 # ``test`` evaluates through ``evaluate`` and the variant table, so these four
 # are not called here.  They stay module attributes because the benchmark's
@@ -70,9 +79,6 @@ CUSTOM_H_REGISTRY = {
 }
 
 _NAMED_STATISTICS = ("greenwood", "moran", "entropy")
-
-# target number of uniforms drawn per vectorized meancheck chunk
-_CHUNK_BUDGET = 2_000_000
 
 
 class CliInputError(ValueError):
@@ -231,49 +237,37 @@ def _cmd_sigma(args: argparse.Namespace) -> dict:
     kind, label, closed = _sigma_target(args)
     params = {"statistic": label, "m": args.m, "draws": args.draws,
               "seed": seed, "compare_holst": bool(args.compare_holst)}
+    holst, corrected, difference = holst_comparison(kind, args.m, args.draws, seed)
+    out = {
+        "estimate": corrected.value,
+        "std_error": corrected.std_error,
+        "closed_form": closed,
+    }
     if args.compare_holst:
-        holst, corrected, difference = holst_comparison(kind, args.m, args.draws, seed)
-        out = {
-            "estimate": corrected.value,
-            "std_error": corrected.std_error,
-            "closed_form": closed,
-            "holst": holst.value,
-            "holst_std_error": holst.std_error,
-            "difference": difference.value,
-            "difference_std_error": difference.std_error,
-        }
-    else:
-        estimate = estimate_sigma_m(kind, args.m, args.draws, seed)
-        out = {
-            "estimate": estimate.value,
-            "std_error": estimate.std_error,
-            "closed_form": closed,
-        }
+        out.update(holst=holst.value, holst_std_error=holst.std_error,
+                   difference=difference.value,
+                   difference_std_error=difference.std_error)
     return _document("sigma", params, out, [])
 
 
 def _simulated_mean_correction(kind, n: int, m: int, reps: int, seed: int):
     """Mean of the overlapping-sum statistic over ``reps`` samples, minus the
-    leading term, with an iid standard error.  Replications are drawn in
-    vectorized chunks from stream (seed, 0)."""
-    rows = max(1, _CHUNK_BUDGET // max(n - 1, 1))
+    leading term, with an iid standard error.
+
+    The samples are consecutive draws of stream (seed, 0), taken in chunks
+    of at most ``CHUNK_VALUES`` values, so the chunk boundaries never change
+    them.  Each chunk is sorted in one workspace and its summands come from
+    variant V of the statistic table; every row is reduced with numpy's
+    ``sum``."""
+    rows = max(1, CHUNK_VALUES // n)
+    work = ChunkWorkspace(min(rows, reps), n, m)
     stream = SeededStream(seed, 0)
     totals = np.empty(reps)
-    done = 0
-    while done < reps:
-        count = min(rows, reps - done)
+    for first in range(0, reps, rows):
+        count = min(rows, reps - first)
         u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
-        scaled = n * spacing_rows(anchored_points(u), SpacingScheme.overlapping(m))
-        if kind.requires_positive and not (scaled > 0.0).all():
-            bad = int(np.flatnonzero(~(scaled > 0.0).ravel())[0]) % n
-            raise ZeroSpacing(bad)
-        with np.errstate(all="ignore"):
-            hv = np.asarray(kind.sum_fn(scaled), dtype=np.float64)
-        if not np.isfinite(hv).all():
-            bad = int(np.flatnonzero(~np.isfinite(hv).ravel())[0]) % n
-            raise DomainViolation(bad, "non-finite summand in simulation")
-        totals[done : done + count] = hv.sum(axis=1)
-        done += count
+        points = anchored_points(u, out=work.points[:count])
+        totals[first : first + count] = VARIANTS["v"].summands(points, m, kind, work).sum(axis=1)
     leading = closed_form_moments(kind, n, m).mean
     correction = float(np.mean(totals)) - leading
     se = float(np.std(totals, ddof=1) / math.sqrt(reps))

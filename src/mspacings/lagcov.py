@@ -20,8 +20,6 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NonFiniteSample
-from .rng import SeededStream
 
 #: Batches used for every Monte Carlo standard error in the package.
 DEFAULT_BATCHES = 30
@@ -180,29 +178,3 @@ def batch_std_error(batch_values: Sequence[float]) -> float:
     """Standard error of the full-stream estimate from batch replicates."""
     vals = np.asarray(batch_values, dtype=np.float64)
     return float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-
-
-def stream_window_values(h, m: int, draws: int, seed: int, stream_id: int = 0):
-    """One stationary exponential stream of length draws + 2m with its
-    window totals and statistic values.
-
-    ``h`` is a StatisticKind (applied to window totals) or a TupleFunction
-    of arity m (applied to the windows themselves).  Returns (x, hv, w).
-    """
-    from .statistics import TupleFunction, resolve_kind
-
-    x = SeededStream(seed, stream_id).exponentials(draws + 2 * m)
-    w = window_sums(x, m)
-    if isinstance(h, TupleFunction):
-        if h.arity != m:
-            raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
-        with np.errstate(all="ignore"):
-            hv = h.evaluate(sliding_window_view(x, m))
-    else:
-        kind = resolve_kind(h)
-        with np.errstate(all="ignore"):
-            hv = np.asarray(kind.sum_fn(w), dtype=np.float64)
-    if not np.isfinite(hv).all():
-        k = int(np.flatnonzero(~np.isfinite(hv))[0])
-        raise NonFiniteSample(f"statistic value at window {k} is not finite")
-    return x, hv, w

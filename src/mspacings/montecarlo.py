@@ -21,21 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticMoments, closed_form_moments
+from .asymptotics import AsymptoticMoments, closed_form_moments, holst_comparison
 from .errors import (
     DegenerateVariance,
     MSpacingsError,
     SimulationAborted,
     UnsupportedKind,
 )
-from .lagcov import (
-    MIN_DRAWS,
-    Estimate,
-    batch_std_error,
-    batched_components,
-    components,
-    stream_window_values,
-)
+from .lagcov import Estimate
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
 from .statistics import KIND_VARIANTS, ChunkWorkspace, evaluate_rows, resolve_kind
@@ -172,11 +165,7 @@ def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
     One exponential stream of length window_draws + 2m supplies all windows;
     lag covariances for j in [-(m-1), m-1] share one accumulator per |j|, and
     the assembled value subtracts the squared covariance with the window
-    total.  The standard error comes from contiguous batch means.
+    total.  The standard error comes from contiguous batch means.  This is
+    the corrected assembly of :func:`~mspacings.asymptotics.holst_comparison`.
     """
-    if window_draws < MIN_DRAWS:
-        raise ValueError(f"window_draws must be >= {MIN_DRAWS}")
-    _, hv, w = stream_window_values(h, m, window_draws, seed)
-    full = components(hv, w, m)
-    batch = batched_components(hv, w, m)
-    return Estimate(full.corrected, batch_std_error([c.corrected for c in batch]))
+    return holst_comparison(h, m, window_draws, seed)[1]

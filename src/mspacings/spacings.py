@@ -66,16 +66,6 @@ class SpacingScheme:
         return n // self.m if self.mode == "disjoint" else n
 
 
-@dataclass(frozen=True)
-class SpacingsVector:
-    """Arc lengths under one scheme, with the source sample's arc count."""
-
-    values: np.ndarray
-    m: int
-    scheme: SpacingScheme
-    n: int
-
-
 def anchored_points(values, out: np.ndarray | None = None) -> np.ndarray:
     """Anchored circular points of every row of a (rows, k) observation matrix.
 
@@ -158,16 +148,3 @@ def spacing_rows(points: np.ndarray, scheme: SpacingScheme,
     np.add(1.0, points[:, :m], out=tail)
     np.subtract(tail, points[:, n - m :], out=tail)
     return out
-
-
-def m_spacings(sample: CircularSample, scheme: SpacingScheme) -> SpacingsVector:
-    """Arc lengths of ``sample`` under ``scheme``: the one-row case of
-    :func:`spacing_rows`."""
-    vals = spacing_rows(sample.points.reshape(1, -1), scheme)[0]
-    vals.setflags(write=False)
-    return SpacingsVector(values=vals, m=scheme.m, scheme=scheme, n=sample.arc_count)
-
-
-def scaled_values(spacings: SpacingsVector) -> np.ndarray:
-    """Spacings multiplied by the arc count n, the statistics' natural scale."""
-    return spacings.n * spacings.values

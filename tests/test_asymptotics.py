@@ -27,6 +27,7 @@ from mspacings import (
     closed_form_moments,
     custom_sum,
     estimate_general_moments,
+    estimate_sigma_m,
     exact_mean_correction,
     holst_comparison,
     holst_vs_corrected,
@@ -34,6 +35,7 @@ from mspacings import (
     resolve_kind,
     sigma_m_closed_form_large_m,
     standardize,
+    stream_window_values,
 )
 from mspacings import asymptotics
 
@@ -226,6 +228,14 @@ class TestMeanCorrection:
         with pytest.raises(NonFiniteSample):
             mean_correction(bad, 1, draws=10_000, seed=0)
 
+    def test_non_finite_names_the_window(self):
+        # the first window whose total is below 1 gives log 0
+        x = SeededStream(4).exponentials(10_000 * 2).reshape(-1, 2)
+        first = int(np.flatnonzero(x.sum(axis=1) < 1.0)[0])
+        bad = custom_sum(lambda t: np.log(np.floor(t)), name="log-floor")
+        with pytest.raises(NonFiniteSample, match=f"statistic value at window {first} is"):
+            mean_correction(bad, 2, draws=10_000, seed=4)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy", "cube"])
     def test_kind_equals_numpy_row_sums(self, kind, m):
@@ -288,6 +298,24 @@ class TestHolstVsCorrected:
         assert (holst, corrected) == holst_vs_corrected("moran", m, draws=20_000, seed=5)
         assert difference.value == holst.value - corrected.value
         assert difference.std_error >= 0.0
+
+
+# every stream estimator, called with order m and otherwise valid arguments
+STREAM_ESTIMATORS = {
+    "mean_correction": lambda m: mean_correction("greenwood", m, 10_000, 0),
+    "stream_window_values": lambda m: stream_window_values("greenwood", m, 10_000, 0),
+    "holst_comparison": lambda m: holst_comparison("greenwood", m, 10_000, 0),
+    "holst_vs_corrected": lambda m: holst_vs_corrected("greenwood", m, 10_000, 0),
+    "estimate_sigma_m": lambda m: estimate_sigma_m("greenwood", m, 10_000, 0),
+    "clt_condition_ratio": lambda m: clt_condition_ratio("greenwood", 100, m, 3.0, 10_000, 0),
+}
+
+
+@pytest.mark.parametrize("m", [0, -2])
+@pytest.mark.parametrize("name", sorted(STREAM_ESTIMATORS))
+def test_stream_estimators_reject_order_below_one(name, m):
+    with pytest.raises(ValueError, match=f"^order must be >= 1, got {m}$"):
+        STREAM_ESTIMATORS[name](m)
 
 
 class TestEstimateGeneralMoments:

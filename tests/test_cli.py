@@ -2,16 +2,27 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import mspacings
-from mspacings import SeededStream
+from mspacings import (
+    DomainViolation,
+    SeededStream,
+    SpacingScheme,
+    ZeroSpacing,
+    closed_form_moments,
+    resolve_kind,
+)
+from mspacings import cli
 from mspacings.cli import main
+from mspacings.spacings import anchored_points, spacing_rows
 
 SCHEMA = json.loads(
     (Path(mspacings.__file__).parent / "report_schema.json").read_text())
@@ -261,6 +272,97 @@ class TestSigmaVariants:
         doc = json.loads(out)
         assert doc["result"]["difference"] == 0.0
         assert doc["result"]["difference_std_error"] == 0.0
+
+
+class TestSigmaOrder:
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    @pytest.mark.parametrize("target", [("--custom-h", "cube"), ("--statistic", "moran")])
+    @pytest.mark.parametrize("holst", [(), ("--compare-holst",)])
+    def test_order_below_one_is_input_error(self, capsys, m, target, holst):
+        code, out, err = run_cli(capsys, "sigma", *target, "--m", m, "--seed", "1",
+                                 "--draws", "10000", *holst)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: order must be >= 1, got {m}\n"
+
+    @pytest.mark.parametrize("target", [("--custom-h", "cube"), ("--statistic", "entropy")])
+    def test_compare_holst_only_adds_fields(self, capsys, target):
+        argv = ("sigma", *target, "--m", "3", "--draws", "20000", "--seed", "8")
+        _, plain, _ = run_cli(capsys, *argv)
+        _, compared, _ = run_cli(capsys, *argv, "--compare-holst")
+        plain, compared = json.loads(plain), json.loads(compared)
+        assert plain["result"] == {k: compared["result"][k] for k in plain["result"]}
+        assert len(compared["result"]) == len(plain["result"]) + 4
+
+
+def looped_mean_correction(kind, n, m, reps, seed, stream_cls=SeededStream):
+    """The meancheck simulation as one chunk loop with its own spacing
+    arithmetic, scaling and domain checks: the oracle for the engine path."""
+    rows = max(1, 2_000_000 // max(n - 1, 1))
+    stream = stream_cls(seed, 0)
+    totals = np.empty(reps)
+    done = 0
+    while done < reps:
+        count = min(rows, reps - done)
+        u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
+        scaled = n * spacing_rows(anchored_points(u), SpacingScheme.overlapping(m))
+        if kind.requires_positive and not (scaled > 0.0).all():
+            bad = int(np.flatnonzero(~(scaled > 0.0).ravel())[0]) % n
+            raise ZeroSpacing(bad)
+        with np.errstate(all="ignore"):
+            hv = np.asarray(kind.sum_fn(scaled), dtype=np.float64)
+        if not np.isfinite(hv).all():
+            bad = int(np.flatnonzero(~np.isfinite(hv).ravel())[0]) % n
+            raise DomainViolation(bad, "non-finite summand in simulation")
+        totals[done : done + count] = hv.sum(axis=1)
+        done += count
+    leading = closed_form_moments(kind, n, m).mean
+    correction = float(np.mean(totals)) - leading
+    se = float(np.std(totals, ddof=1) / math.sqrt(reps))
+    return leading, correction, se
+
+
+class TiedStream(SeededStream):
+    """A stream whose draw ``TIE`` repeats the draw before it."""
+
+    # draw 7 of replication 3 at n = 20 (19 draws per replication)
+    TIE = 3 * 19 + 7
+
+    def uniforms(self, count):
+        u = super().uniforms(count)
+        start = getattr(self, "drawn", 0)
+        self.drawn = start + count
+        if start < self.TIE < start + count:
+            u[self.TIE - start] = u[self.TIE - start - 1]
+        return u
+
+
+class TestMeancheckSimulation:
+    CASES = [(20, 2), (20, 333), (200, 1000), (50, 2000)]
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True])
+    @pytest.mark.parametrize("n, reps", CASES)
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
+    def test_equals_loop(self, monkeypatch, kind, m, n, reps, one_row_chunks):
+        if one_row_chunks:
+            monkeypatch.setattr(cli, "CHUNK_VALUES", n)
+        kind = resolve_kind(kind)
+        got = cli._simulated_mean_correction(kind, n, m, reps, 11 * m + n)
+        expected = looped_mean_correction(kind, n, m, reps, 11 * m + n)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True])
+    def test_tie_is_the_oracles_zero_spacing(self, capsys, monkeypatch, one_row_chunks):
+        if one_row_chunks:
+            monkeypatch.setattr(cli, "CHUNK_VALUES", 20)
+        with pytest.raises(ZeroSpacing) as oracle:
+            looped_mean_correction(resolve_kind("moran"), 20, 1, 10, 4, TiedStream)
+        monkeypatch.setattr(cli, "SeededStream", TiedStream)
+        code, out, err = run_cli(capsys, "meancheck", "--statistic", "moran", "--n", "20",
+                                 "--reps", "10", "--seed", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: {oracle.value}\n"
 
 
 def test_module_runs_as_script(tmp_path):

@@ -12,8 +12,6 @@ from mspacings import (
     SpacingScheme,
     ValueOutOfRange,
     from_unit_observations,
-    m_spacings,
-    scaled_values,
 )
 from mspacings.spacings import anchored_points, spacing_rows
 
@@ -22,6 +20,16 @@ EPS = float(np.finfo(np.float64).eps)
 unit_value = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                        allow_nan=False, width=64)
 unit_obs = st.lists(unit_value, min_size=1, max_size=64)
+
+
+def spacings_of(sample, scheme):
+    """Arc lengths of one sample under ``scheme``: a one-row spacing_rows."""
+    return spacing_rows(sample.points.reshape(1, -1), scheme)[0]
+
+
+def scaled_of(sample, scheme):
+    """Arc lengths times the arc count n, the statistics' natural scale."""
+    return sample.arc_count * spacings_of(sample, scheme)
 
 
 def sample_and_order(draw):
@@ -74,38 +82,38 @@ class TestFromUnitObservations:
 class TestSchemes:
     def test_simple_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = m_spacings(s, SpacingScheme.simple())
-        assert sp.values == pytest.approx([0.2, 0.3, 0.4, 0.1], abs=4 * EPS)
-        assert sp.m == 1 and sp.n == 4
+        sp = spacings_of(s, SpacingScheme.simple())
+        assert sp == pytest.approx([0.2, 0.3, 0.4, 0.1], abs=4 * EPS)
+        assert sp.shape == (s.arc_count,) == (4,)
 
     def test_overlapping_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = m_spacings(s, SpacingScheme.overlapping(2))
-        assert sp.values == pytest.approx([0.5, 0.7, 0.5, 0.3], abs=4 * EPS)
-        assert math.fsum(sp.values) == pytest.approx(2.0, abs=16 * EPS)
+        sp = spacings_of(s, SpacingScheme.overlapping(2))
+        assert sp == pytest.approx([0.5, 0.7, 0.5, 0.3], abs=4 * EPS)
+        assert math.fsum(sp) == pytest.approx(2.0, abs=16 * EPS)
 
     def test_disjoint_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = m_spacings(s, SpacingScheme.disjoint(2))
-        assert sp.values == pytest.approx([0.5, 0.5], abs=4 * EPS)
-        assert len(sp.values) == 2
+        sp = spacings_of(s, SpacingScheme.disjoint(2))
+        assert sp == pytest.approx([0.5, 0.5], abs=4 * EPS)
+        assert len(sp) == 2
 
     def test_disjoint_drops_partial_block(self):
         s = from_unit_observations([0.1, 0.2, 0.3, 0.4])  # n = 5
-        sp = m_spacings(s, SpacingScheme.disjoint(2))
-        assert len(sp.values) == 2
-        assert math.fsum(sp.values) < 1.0
+        sp = spacings_of(s, SpacingScheme.disjoint(2))
+        assert len(sp) == 2
+        assert math.fsum(sp) < 1.0
 
     def test_order_too_large(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
         for scheme in (SpacingScheme.overlapping(4), SpacingScheme.disjoint(5)):
             with pytest.raises(OrderTooLarge):
-                m_spacings(s, scheme)
+                spacings_of(s, scheme)
 
     def test_order_n_minus_one_is_fine(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = m_spacings(s, SpacingScheme.overlapping(3))
-        assert len(sp.values) == 4
+        sp = spacings_of(s, SpacingScheme.overlapping(3))
+        assert len(sp) == 4
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -119,56 +127,57 @@ class TestSchemes:
 class TestScaledValues:
     def test_simple_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_values(m_spacings(s, SpacingScheme.simple()))
+        out = scaled_of(s, SpacingScheme.simple())
         assert out == pytest.approx([0.8, 1.2, 1.6, 0.4], abs=16 * EPS)
 
     def test_overlapping_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_values(m_spacings(s, SpacingScheme.overlapping(2)))
+        out = scaled_of(s, SpacingScheme.overlapping(2))
         assert out == pytest.approx([2.0, 2.8, 2.0, 1.2], abs=16 * EPS)
 
     def test_uniform_grid_gives_ones(self):
         n = 8
         s = from_unit_observations([k / n for k in range(1, n)])
-        out = scaled_values(m_spacings(s, SpacingScheme.simple()))
+        out = scaled_of(s, SpacingScheme.simple())
         assert np.array_equal(out, np.ones(n))
 
     def test_disjoint_uses_source_arc_count(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_values(m_spacings(s, SpacingScheme.disjoint(2)))
+        out = scaled_of(s, SpacingScheme.disjoint(2))
         assert out == pytest.approx([2.0, 2.0], abs=16 * EPS)
 
 
 @given(unit_obs)
 def test_simple_spacings_sum_to_one(values):
-    sp = m_spacings(from_unit_observations(values), SpacingScheme.simple())
-    n = sp.n
-    assert len(sp.values) == n
-    assert abs(math.fsum(sp.values) - 1.0) <= 4 * n * EPS
-    assert (sp.values >= 0.0).all() and (sp.values <= 1.0).all()
+    sample = from_unit_observations(values)
+    sp = spacings_of(sample, SpacingScheme.simple())
+    n = sample.arc_count
+    assert len(sp) == n
+    assert abs(math.fsum(sp) - 1.0) <= 4 * n * EPS
+    assert (sp >= 0.0).all() and (sp <= 1.0).all()
 
 
 @given(st.data())
 def test_overlapping_spacings_sum_to_m(data):
     sample, m = sample_and_order(data.draw)
-    sp = m_spacings(sample, SpacingScheme.overlapping(m))
-    assert len(sp.values) == sample.arc_count
-    assert abs(math.fsum(sp.values) - m) <= 4 * sample.arc_count * EPS
+    sp = spacings_of(sample, SpacingScheme.overlapping(m))
+    assert len(sp) == sample.arc_count
+    assert abs(math.fsum(sp) - m) <= 4 * sample.arc_count * EPS
 
 
 @given(unit_obs)
 def test_overlapping_order_one_equals_simple(values):
     sample = from_unit_observations(values)
-    simple = m_spacings(sample, SpacingScheme.simple())
-    over = m_spacings(sample, SpacingScheme.overlapping(1))
-    assert np.array_equal(simple.values, over.values)
+    simple = spacings_of(sample, SpacingScheme.simple())
+    over = spacings_of(sample, SpacingScheme.overlapping(1))
+    assert np.array_equal(simple, over)
 
 
 @given(st.data())
 def test_overlapping_window_matches_simple_sum(data):
     sample, m = sample_and_order(data.draw)
-    simple = m_spacings(sample, SpacingScheme.simple()).values
-    over = m_spacings(sample, SpacingScheme.overlapping(m)).values
+    simple = spacings_of(sample, SpacingScheme.simple())
+    over = spacings_of(sample, SpacingScheme.overlapping(m))
     n = sample.arc_count
     ext = np.concatenate([simple, simple])
     for k in range(n):
@@ -179,10 +188,10 @@ def test_overlapping_window_matches_simple_sum(data):
 @given(st.data())
 def test_disjoint_block_count_and_mass(data):
     sample, m = sample_and_order(data.draw)
-    sp = m_spacings(sample, SpacingScheme.disjoint(m))
+    sp = spacings_of(sample, SpacingScheme.disjoint(m))
     n = sample.arc_count
-    assert len(sp.values) == n // m
-    total = math.fsum(sp.values)
+    assert len(sp) == n // m
+    total = math.fsum(sp)
     assert total <= 1.0 + 4 * n * EPS
     if n % m == 0:
         assert abs(total - 1.0) <= 4 * n * EPS
@@ -192,8 +201,8 @@ def test_disjoint_block_count_and_mass(data):
 def test_spacings_are_pure_functions(data):
     sample, m = sample_and_order(data.draw)
     scheme = SpacingScheme.overlapping(m)
-    first = m_spacings(sample, scheme).values
-    second = m_spacings(sample, scheme).values
+    first = spacings_of(sample, scheme)
+    second = spacings_of(sample, scheme)
     assert np.array_equal(first, second)
 
 
@@ -226,7 +235,7 @@ def test_rows_match_one_sample_arithmetic(rows, data):
                        SpacingScheme.disjoint(m)):
             expected = one_sample_spacings(sample.points, scheme)
             assert np.array_equal(spacing_rows(points, scheme)[r], expected)
-            assert np.array_equal(m_spacings(sample, scheme).values, expected)
+            assert np.array_equal(spacings_of(sample, scheme), expected)
 
 
 def test_row_form_range_check_names_column():

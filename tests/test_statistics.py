@@ -27,7 +27,7 @@ from mspacings import (
     statistic_W,
     statistic_Z,
 )
-from mspacings.spacings import SpacingScheme, anchored_points, m_spacings, scaled_values
+from mspacings.spacings import SpacingScheme, anchored_points, spacing_rows
 from mspacings.statistics import _xlogx, evaluate, evaluate_rows
 
 EPS = float(np.finfo(np.float64).eps)
@@ -420,11 +420,12 @@ def test_value_is_fsum_of_the_summands(values, m):
     n = sample.arc_count
     if m >= n:
         return
-    x = scaled_values(m_spacings(sample, SpacingScheme.overlapping(m)))
+    points = sample.points.reshape(1, -1)
+    x = n * spacing_rows(points, SpacingScheme.overlapping(m))[0]
     assert statistic_V(sample, m, "greenwood").value == math.fsum(np.square(x))
     assert statistic_W(sample, m, "entropy").value == math.fsum(
         ENTROPY.sum_fn(x[: n - m]))
-    x = scaled_values(m_spacings(sample, SpacingScheme.disjoint(m)))
+    x = n * spacing_rows(points, SpacingScheme.disjoint(m))[0]
     assert statistic_Q(sample, m, "greenwood").value == math.fsum(np.square(x))
 
 
