@@ -23,6 +23,7 @@ the flag never changes output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -375,10 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call (not at import)
+    and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our contract reserves 2 for
         # statistic domain failures

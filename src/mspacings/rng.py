@@ -2,10 +2,11 @@
 
 One generator algorithm is used package-wide: numpy's PCG64, keyed by a
 SplitMix64 mix of ``(seed, stream_id)``.  Uniform draws map 53 random bits
-onto [0, 1); exponentials invert the CDF.  Identical (seed, stream_id) pairs
-therefore reproduce identical sequences across runs and platforms, and
-distinct stream ids give unrelated streams (the mix is a bijection of the
-counter, so no two ids in [0, 2**64) share a key under one seed).
+onto [0, 1); exponentials invert the CDF, -log(1 - u), in place on the
+uniforms.  Identical (seed, stream_id) pairs therefore reproduce identical
+sequences across runs and platforms, and distinct stream ids give unrelated
+streams (the mix is a bijection of the counter, so no two ids in [0, 2**64)
+share a key under one seed).
 
 Monte Carlo routines draw replication r from stream (seed, r) and handle
 replications in chunks, one matrix row each (:meth:`SeededStream.rows`), of
@@ -16,10 +17,15 @@ through numpy's ``SeedSequence`` and PCG64's seeding step.  Building that
 generator costs about as much as a few thousand draws, so ``rows`` keys a
 chunk's streams in one vectorised pass instead: SplitMix64 on a vector of
 stream ids, ``SeedSequence`` on a (4, rows) array of 32-bit pool words, and
-PCG64's seeding step in Python integers.  It then draws every row from one
-reused generator whose state it sets to each row's (state, increment).  The
-states equal those of numpy's own seeding, so every row equals the
-single-stream draw bit for bit.
+PCG64's seeding step in Python integers.  It then makes one stream of the
+class and, for each row, sets its generator to the row's (state, increment)
+and its ``stream_id`` to the row's id, and draws the row's uniforms straight
+into the chunk with ``uniforms(width, out=row)``.  Exponential rows invert
+the CDF once, over the whole chunk.  The states equal those of numpy's own
+seeding, so every row equals the single-stream draw bit for bit.
+
+``uniforms(count, out=None)`` is the one draw that a subclass overrides: it
+changes both uniform and exponential draws, of single streams and of rows.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: chunk of rows that are ``width`` values wide holds
 #: max(1, CHUNK_VALUES // width) replications.
 CHUNK_VALUES = 1 << 16
+
+_ROW_DRAWS = ("uniforms", "exponentials")
 
 
 def _mix64(z: int) -> int:
@@ -132,6 +140,13 @@ def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
+def _inverse_cdf(values: np.ndarray) -> np.ndarray:
+    """Standard exponentials -log(1 - u) from uniforms u, in place."""
+    np.negative(values, out=values)
+    np.log1p(values, out=values)
+    return np.negative(values, out=values)
+
+
 def derive_stream_key(seed: int, stream_id: int) -> int:
     """Output number ``stream_id`` of the SplitMix64 sequence seeded by ``seed``.
 
@@ -156,16 +171,14 @@ class SeededStream:
         key = derive_stream_key(self.seed, self.stream_id)
         self._generator = np.random.Generator(np.random.PCG64(key))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """iid uniforms on [0, 1) with 53-bit granularity."""
-        return self._generator.random(count)
+    def uniforms(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """iid uniforms on [0, 1) with 53-bit granularity, written into
+        ``out`` (a C-contiguous array of ``count`` doubles) when it is given."""
+        return self._generator.random(count, out=out)
 
     def exponentials(self, count: int) -> np.ndarray:
         """iid standard exponentials, -log(1 - u) for uniform u."""
-        values = self._generator.random(count)
-        np.negative(values, out=values)
-        np.log1p(values, out=values)
-        return np.negative(values, out=values)
+        return _inverse_cdf(self.uniforms(count))
 
     @classmethod
     def rows(cls, seed: int, first: int, count: int, width: int,
@@ -179,10 +192,13 @@ class SeededStream:
         row is exactly what a one-replication draw of that stream returns.
         The rows are written into ``out`` when it is given.
 
-        All rows are keyed in one vectorised pass and drawn from one reused
-        generator (see the module docstring); each row is still drawn by a
-        ``cls`` instance for its (seed, stream id).
+        All rows are keyed in one vectorised pass and drawn by one ``cls``
+        instance through ``uniforms(width, out=row)`` (see the module
+        docstring); its ``seed`` and ``stream_id`` are the row's while it
+        draws.
         """
+        if draw not in _ROW_DRAWS:
+            raise ValueError(f"unknown draw {draw!r}; expected one of {_ROW_DRAWS}")
         if out is None:
             out = np.empty((count, width + wrap))
         if count:
@@ -190,16 +206,20 @@ class SeededStream:
             derive_stream_key(seed, first)
             derive_stream_key(seed, min(first + count - 1, _MASK64 + 1))
             bit_generator = np.random.PCG64(0)  # every row replaces its state
-            generator = np.random.Generator(bit_generator)
+            # a stream of the class, without numpy's seeding of a new generator
+            stream = cls.__new__(cls)
+            stream.seed, stream._generator = seed, np.random.Generator(bit_generator)
             states = _pcg64_states(_stream_keys(seed, first, count))
             for row, (state, inc) in enumerate(states):
                 bit_generator.state = {"bit_generator": "PCG64",
                                        "state": {"state": state, "inc": inc},
                                        "has_uint32": 0, "uinteger": 0}
-                # a stream of the class, without numpy's seeding of a new
-                # generator
-                stream = cls.__new__(cls)
-                stream.seed, stream.stream_id, stream._generator = seed, first + row, generator
-                out[row, :width] = getattr(stream, draw)(width)
+                stream.stream_id = first + row
+                target = out[row, :width]
+                drawn = stream.uniforms(width, out=target)
+                if drawn is not target:  # an override that returns a new array
+                    target[...] = drawn
+            if draw == "exponentials":
+                _inverse_cdf(out[:, :width])
         out[:, width:] = out[:, :wrap]
         return out

@@ -125,6 +125,13 @@ class TupleFunctionFamily:
             out = np.empty(windows.shape[:-2] + (len(self.functions),), dtype=np.float64)
         for fn, positions in self._groups:
             picked = windows[..., positions, :]
+            if self.arity > 1 and not picked.flags.c_contiguous:
+                # a reshape would copy one window (arity values) per inner
+                # loop; copying column by column runs over all positions
+                columns = np.empty(picked.shape, dtype=picked.dtype)
+                for j in range(self.arity):
+                    columns[..., j] = picked[..., j]
+                picked = columns
             out[..., positions] = fn.evaluate(picked.reshape(-1, self.arity)).reshape(
                 picked.shape[:-1])
         return out

@@ -36,6 +36,7 @@ from mspacings import (
     sigma_m_closed_form_large_m,
     standardize,
     stream_window_values,
+    window_sums,
 )
 from mspacings import asymptotics
 
@@ -246,6 +247,18 @@ class TestMeanCorrection:
         assert (got.value.hex(), got.std_error.hex()) == (
             expected.value.hex(), expected.std_error.hex())
 
+    @pytest.mark.parametrize("draws", [10_000, 10_007, 50_000])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("h", ["greenwood", "moran", "entropy", "ends"])
+    def test_batch_covariances_equal_one_call_per_batch(self, h, m, draws):
+        if h == "ends":
+            h = TupleFunction(lambda w: w[:, 0] * (w[:, -1] - 1.0), arity=m,
+                              vectorized=True, name="ends")
+        got = mean_correction(h, m, draws, seed=20 + m)
+        expected = _looped_mean_correction(h, m, draws, seed=20 + m)
+        assert (got.value.hex(), got.std_error.hex()) == (
+            expected.value.hex(), expected.std_error.hex())
+
     def test_tuple_function_arity_checked(self):
         with pytest.raises(ValueError, match="arity 2, expected 3"):
             mean_correction(GREENWOOD.as_tuple_function(2), 3, draws=10_000, seed=0)
@@ -266,6 +279,27 @@ def _summed_mean_correction(kind, m, draws, seed, stream_id):
     batches = [half_cov(hv[i * size : (i + 1) * size], target[i * size : (i + 1) * size])
                for i in range(DEFAULT_BATCHES)]
     return Estimate(half_cov(hv, target), batch_std_error(batches))
+
+
+def _looped_mean_correction(h, m, draws, seed):
+    """mean_correction with one covariance call for all draws and one for
+    each batch of draws // DEFAULT_BATCHES."""
+    x = SeededStream(seed, 0).exponentials(draws * m).reshape(draws, m)
+    totals = window_sums(x, m).reshape(-1)
+    if isinstance(h, TupleFunction):
+        hv = h.evaluate(x)
+    else:
+        hv = np.asarray(resolve_kind(h).sum_fn(totals), dtype=np.float64)
+    dev = totals - m
+    target = dev - dev * dev
+
+    def mean_cov(a, b):
+        return float(np.mean((a - a.mean()) * (b - b.mean())))
+
+    size = draws // DEFAULT_BATCHES
+    batches = [0.5 * mean_cov(hv[i * size : (i + 1) * size], target[i * size : (i + 1) * size])
+               for i in range(DEFAULT_BATCHES)]
+    return Estimate(0.5 * mean_cov(hv, target), batch_std_error(batches))
 
 
 class TestHolstVsCorrected:
@@ -472,11 +506,11 @@ class TestChunkedGeneralMoments:
         bad_at = {late: 6, late + 1: 2, late + 20: 0}
 
         class Streams(SeededStream):
-            def exponentials(self, count):
-                x = super().exponentials(count)
+            def uniforms(self, count, out=None):
+                u = super().uniforms(count, out=out)
                 if self.stream_id in bad_at:
-                    x[bad_at[self.stream_id]] = -5.0
-                return x
+                    u[bad_at[self.stream_id]] = np.nan
+                return u
 
         monkeypatch.setattr(asymptotics, "SeededStream", Streams)
         monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)

@@ -217,6 +217,28 @@ class TestReproducibility:
         _, four, _ = run_cli(capsys, *base, "--threads", "4")
         assert one == four
 
+    def test_reused_parser_equals_a_fresh_one(self, capsys, data_path):
+        calls = [
+            ("test", data_path, "--statistic", "moran", "--m", "2", "--variant", "q"),
+            ("test", data_path, "--statistic", "greenwood", "--m", "0.5"),  # usage error
+            ("meancheck", "--statistic", "entropy", "--m", "2", "--n", "30", "--reps", "100",
+             "--seed", "3"),
+            ("simulate", "--n", "40", "--statistic", "greenwood", "--reps", "50", "--seed", "4",
+             "--format", "text"),
+            ("sigma", "--statistic", "moran", "--m", "2", "--draws", "10000", "--seed", "5"),
+            ("test", data_path, "--statistic", "entropy"),
+        ]
+        cli._parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 0]
+        assert "invalid int value: '0.5'" in reused[1][2]
+
 
 class TestTextFormat:
     def test_layout(self, capsys, data_path):

@@ -233,9 +233,9 @@ class TestChunkedEngine:
         """Seeded streams, except that the stream ids in ``overrides`` draw
         ``overrides[id](count)``."""
         class Streams(SeededStream):
-            def uniforms(self, count):
+            def uniforms(self, count, out=None):
                 fixed = overrides.get(self.stream_id)
-                return super().uniforms(count) if fixed is None else fixed(count)
+                return super().uniforms(count, out=out) if fixed is None else fixed(count)
         return Streams
 
     def _abort(self, monkeypatch, config, overrides, moments=None):

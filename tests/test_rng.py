@@ -99,6 +99,14 @@ class TestSeededStream:
         u = SeededStream(12, 5).uniforms(count)
         assert e.tobytes() == (-np.log1p(-u)).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 200, 65_537])
+    def test_uniforms_into_out_equal_a_fresh_draw(self, count):
+        out = np.full(count + 3, np.nan)
+        drawn = SeededStream(14, 6).uniforms(count, out=out[1 : count + 1])
+        assert np.shares_memory(drawn, out)
+        assert drawn.tobytes() == SeededStream(14, 6).uniforms(count).tobytes()
+        assert np.isnan(out[[0, -2, -1]]).all()
+
     def test_exponential_moments(self):
         e = SeededStream(13, 0).exponentials(1_000_000)
         assert abs(float(e.mean()) - 1.0) <= 0.003
@@ -158,13 +166,51 @@ class TestRows:
         seen = []
 
         class Recorded(SeededStream):
-            def uniforms(self, count):
+            def uniforms(self, count, out=None):
                 seen.append((type(self), self.seed, self.stream_id))
-                return super().uniforms(count)
+                return super().uniforms(count, out=out)
 
         rows = Recorded.rows(8, 30, 4, 5)
         assert seen == [(Recorded, 8, 30 + r) for r in range(4)]
         assert np.array_equal(rows, SeededStream.rows(8, 30, 4, 5))
+
+
+    def test_a_uniforms_override_changes_both_row_draws(self):
+        class Halved(SeededStream):
+            def uniforms(self, count, out=None):
+                u = super().uniforms(count, out=out)
+                u *= 0.5
+                return u
+
+        u = SeededStream.rows(3, 10, 4, 7, wrap=2)
+        assert Halved.rows(3, 10, 4, 7, wrap=2).tobytes() == (0.5 * u).tobytes()
+        expected = -np.log1p(-(0.5 * u))
+        assert Halved.rows(3, 10, 4, 7, "exponentials", wrap=2).tobytes() == expected.tobytes()
+        assert Halved(3, 10).exponentials(7).tobytes() == expected[0, :7].tobytes()
+
+    def test_an_override_that_returns_a_new_array_fills_the_row(self):
+        class Fresh(SeededStream):
+            def uniforms(self, count, out=None):
+                return np.full(count, self.stream_id / 100.0)
+
+        rows = Fresh.rows(3, 10, 4, 5, "exponentials", wrap=1)
+        for r in range(4):
+            assert np.array_equal(rows[r], np.full(6, -math.log1p(-(10 + r) / 100.0)))
+
+    @pytest.mark.parametrize("draw", ["__init__", "exponential", "rows", "uniform", ""])
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_rows_reject_any_other_draw(self, draw, count):
+        drawn = []
+
+        class Recorded(SeededStream):
+            def uniforms(self, count, out=None):
+                drawn.append(self.stream_id)
+                return super().uniforms(count, out=out)
+
+        out = np.full((count, 4), np.nan)
+        with pytest.raises(ValueError, match=f"unknown draw {draw!r}"):
+            Recorded.rows(1, 0, count, 4, draw, out=out)
+        assert drawn == [] and np.isnan(out).all()
 
 
 class TestBatchedKeys:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mspacings import (
     DomainViolation,
@@ -240,6 +241,31 @@ class TestR:
         expected = [[f.evaluate(stack[i, k : k + 1])[0].hex() for k, f in enumerate(fam.functions)]
                     for i in range(3)]
         assert [[v.hex() for v in row] for row in fam.evaluate_all(stack).tolist()] == expected
+
+
+    @pytest.mark.parametrize("stack", [(), (7,), (2, 3)])
+    @pytest.mark.parametrize("layout", ["step-1", "step-2", "index-array"])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_evaluate_all_on_window_views_equals_per_position_evaluation(
+            self, arity, layout, stack):
+        n = 12
+        # column order matters to both functions
+        first = TupleFunction(lambda w: w[:, 0] - 2.0 * w[:, -1] + w[:, arity // 2] ** 2,
+                              arity=arity, vectorized=True, name="first")
+        second = TupleFunction(lambda w: w[:, -1] * (w[:, 0] + 0.5), arity=arity,
+                               vectorized=True, name="second")
+        members = {
+            "step-1": (first,) * 5 + (second,) * (n - 5),
+            "step-2": (first, second) * (n // 2),
+            "index-array": (first, first, second, first, second, second) * (n // 6),
+        }[layout]
+        fam = TupleFunctionFamily(members)
+        ext = np.random.default_rng(arity).random(stack + (n + arity - 1,))
+        windows = sliding_window_view(ext, arity, axis=-1)
+        flat = windows.reshape(-1, n, arity)
+        expected = np.array([[f.evaluate(flat[i, k : k + 1])[0] for k, f in enumerate(members)]
+                             for i in range(flat.shape[0])]).reshape(stack + (n,))
+        assert fam.evaluate_all(windows).tobytes() == expected.tobytes()
 
 
 class TestZOfAKind:
