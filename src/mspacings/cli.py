@@ -16,8 +16,6 @@ configuration errors (messages name the offending line where applicable),
 Timing is off by default so repeated runs with equal flags are byte-identical;
 ``--timing`` fills ``elapsed_ms`` (and ``wall_time_s`` for ``simulate``).
 Randomized commands require an explicit ``--seed`` or ``--seed-from-entropy``.
-``--threads`` is accepted for forward compatibility; evaluation is serial and
-the flag never changes output.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points, from_unit_observations
 from .statistics import (
     KIND_VARIANTS,
+    NAMED_KINDS,
     VARIANTS,
     ChunkWorkspace,
     custom_sum,
@@ -78,8 +77,6 @@ CUSTOM_H_REGISTRY = {
     "identity": lambda u: np.asarray(u, dtype=np.float64),
     "cube": lambda u: np.asarray(u, dtype=np.float64) ** 3,
 }
-
-_NAMED_STATISTICS = ("greenwood", "moran", "entropy")
 
 
 class CliInputError(ValueError):
@@ -230,8 +227,6 @@ def _sigma_target(args: argparse.Namespace):
 
 
 def _cmd_sigma(args: argparse.Namespace) -> dict:
-    if args.statistic is None and args.custom_h is None:
-        raise CliInputError("provide --statistic or --custom-h")
     seed = _resolve_seed(args)
     if args.draws < MIN_DRAWS:
         raise CliInputError(f"--draws must be at least {MIN_DRAWS}, got {args.draws}")
@@ -313,8 +308,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output rendering (default json)")
     parser.add_argument("--timing", action="store_true",
                         help="fill elapsed_ms (off by default so equal runs are byte-identical)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker count; accepted for compatibility, evaluation is serial")
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test a data file for uniformity")
     p_test.add_argument("data_path", help="one value in [0,1) per line; '-' reads stdin")
-    p_test.add_argument("--statistic", choices=_NAMED_STATISTICS, required=True)
+    p_test.add_argument("--statistic", choices=NAMED_KINDS, required=True)
     p_test.add_argument("--m", type=int, default=1, help="spacing order (default 1)")
     p_test.add_argument("--variant", choices=KIND_VARIANTS, default="v",
                         help="circular overlapping (v), non-wrapping (w), disjoint (q), "
@@ -343,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="replicate the statistic under the null")
     p_sim.add_argument("--n", type=int, required=True, help="arc count per replication")
     p_sim.add_argument("--m", type=int, default=1)
-    p_sim.add_argument("--statistic", choices=_NAMED_STATISTICS, required=True)
+    p_sim.add_argument("--statistic", choices=NAMED_KINDS, required=True)
     p_sim.add_argument("--reps", type=int, required=True, help="replication count (>= 2)")
     p_sim.add_argument("--variant", choices=KIND_VARIANTS, default="v")
     _add_seed(p_sim)
@@ -351,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_sigma = sub.add_parser("sigma", help="estimate the per-window variance coefficient")
-    p_sigma.add_argument("--statistic", choices=_NAMED_STATISTICS, default=None)
-    p_sigma.add_argument("--custom-h", choices=sorted(CUSTOM_H_REGISTRY), default=None,
-                         help="named scalar function of the window total")
+    target = p_sigma.add_mutually_exclusive_group(required=True)
+    target.add_argument("--statistic", choices=NAMED_KINDS)
+    target.add_argument("--custom-h", choices=sorted(CUSTOM_H_REGISTRY),
+                        help="named scalar function of the window total")
     p_sigma.add_argument("--m", type=int, default=1)
     p_sigma.add_argument("--draws", type=int, default=1_000_000,
                          help=f"window draws (default 1000000, minimum {MIN_DRAWS})")
@@ -365,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mean = sub.add_parser("meancheck",
                             help="compare the first-order mean correction with simulation")
-    p_mean.add_argument("--statistic", choices=_NAMED_STATISTICS, required=True)
+    p_mean.add_argument("--statistic", choices=NAMED_KINDS, required=True)
     p_mean.add_argument("--m", type=int, default=1)
     p_mean.add_argument("--n", type=int, required=True)
     p_mean.add_argument("--reps", type=int, required=True)
@@ -390,9 +384,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; our contract reserves 2 for
         # statistic domain failures
         return _EXIT_OK if not exc.code else _EXIT_INPUT
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return _EXIT_INPUT
     started = time.perf_counter() if args.timing else None
     try:
         doc = args.handler(args)

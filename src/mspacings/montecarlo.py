@@ -26,7 +26,6 @@ from .errors import (
     DegenerateVariance,
     MSpacingsError,
     SimulationAborted,
-    UnsupportedKind,
 )
 from .lagcov import Estimate
 from .rng import CHUNK_VALUES, SeededStream
@@ -129,9 +128,6 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
     """
     kind = resolve_kind(config.kind)
     if moments is None:
-        if not kind.has_closed_form:
-            raise UnsupportedKind(
-                f"kind {kind.name!r} has no closed-form moments; pass them explicitly")
         moments = closed_form_moments(kind, config.n, config.m)
     if not moments.variance > 0.0:
         raise DegenerateVariance(f"variance {moments.variance!r} is not positive")

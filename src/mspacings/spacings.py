@@ -2,17 +2,17 @@
 
 A sample of observations in [0, 1) is anchored with an extra point at 0 and
 read as points on a circle of unit circumference, so n points delimit n arcs
-that sum to one.  Spacings of order m come in three flavours:
+that sum to one.  Spacings of order m come in two flavours:
 
-* simple: the n adjacent arcs,
 * overlapping: every window of m consecutive arcs, wrapping past 1,
 * disjoint: consecutive blocks of m arcs with no sharing.
+
+The simple spacings, the n adjacent arcs, are the overlapping ones of order 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -29,41 +29,6 @@ class CircularSample:
     def arc_count(self) -> int:
         """Number of arcs delimited by the points (equal to their count)."""
         return int(self.points.size)
-
-
-@dataclass(frozen=True)
-class SpacingScheme:
-    """Spacing flavour plus order; ``simple`` is fixed at order 1."""
-
-    mode: str
-    m: int = 1
-
-    _MODES: ClassVar[tuple[str, ...]] = ("simple", "overlapping", "disjoint")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"unknown spacing mode {self.mode!r}")
-        if self.m < 1:
-            raise ValueError(f"spacing order must be >= 1, got {self.m}")
-        if self.mode == "simple" and self.m != 1:
-            raise ValueError("simple spacings have order 1")
-
-    @classmethod
-    def simple(cls) -> "SpacingScheme":
-        return cls("simple", 1)
-
-    @classmethod
-    def overlapping(cls, m: int) -> "SpacingScheme":
-        return cls("overlapping", m)
-
-    @classmethod
-    def disjoint(cls, m: int) -> "SpacingScheme":
-        return cls("disjoint", m)
-
-    def count(self, n: int) -> int:
-        """Number of spacings of a sample of n arcs: n, or floor(n/m) disjoint
-        blocks."""
-        return n // self.m if self.mode == "disjoint" else n
 
 
 def anchored_points(values, out: np.ndarray | None = None) -> np.ndarray:
@@ -119,28 +84,36 @@ def from_unit_observations(values) -> CircularSample:
     return CircularSample(pts)
 
 
-def spacing_rows(points: np.ndarray, scheme: SpacingScheme,
+def spacing_rows(points: np.ndarray, m: int, disjoint: bool = False,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Arc lengths under ``scheme`` of every row of a (rows, n) matrix of
-    anchored sorted points, as a (rows, count) matrix, written into ``out``
-    when it is given.
+    """Arc lengths of order m of every row of a (rows, n) matrix of anchored
+    sorted points, as a (rows, count) matrix, written into the first count
+    columns of ``out`` when it is given.
 
-    Simple and overlapping spacings both have n columns; the overlapping ones
-    wrap around the circle (the point k past the top is 1 plus point k).
+    Overlapping spacings have n columns and wrap around the circle (the point
+    k past the top is 1 plus point k); at m = 1 they are the simple spacings.
     Disjoint spacings keep only the floor(n/m) complete blocks.
+
+    Raises
+    ------
+    ValueError
+        If m < 1.
+    OrderTooLarge
+        If m >= n.
     """
     rows, n = points.shape
-    m = scheme.m
+    if m < 1:
+        raise ValueError(f"spacing order must be >= 1, got {m}")
     if m >= n:
         raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
-    if out is None:
-        out = np.empty((rows, scheme.count(n)))
-    if scheme.mode == "disjoint":
+    count = n // m if disjoint else n
+    out = np.empty((rows, count)) if out is None else out[:, :count]
+    if disjoint:
         # block boundaries are the points 0, m, 2m, ..., then 1.0 if m divides n
         bounds = points[:, ::m]
         inner = bounds.shape[1] - 1
         np.subtract(bounds[:, 1:], bounds[:, :-1], out=out[:, :inner])
-        if inner < out.shape[1]:
+        if inner < count:
             np.subtract(1.0, bounds[:, -1], out=out[:, -1])
         return out
     np.subtract(points[:, m:], points[:, :-m], out=out[:, : n - m])

@@ -2,9 +2,10 @@
 
 Integer-argument digamma and the Hurwitz zeta tail zeta(2, m) are computed by
 direct summation with analytic tail corrections, so their accuracy is
-auditable against brute-force oracles.  Log-gamma and the normal CDF delegate
-to the C library routines in :mod:`math`, which sit comfortably inside the
-accuracy budgets used here (1e-12 relative, 1e-10 absolute).
+auditable against brute-force oracles.  The normal CDF and the log-gamma in
+:func:`mu_n` delegate to the C library routines in :mod:`math`, which sit
+comfortably inside the accuracy budgets used here (1e-12 relative, 1e-10
+absolute).
 """
 
 from __future__ import annotations
@@ -57,13 +58,6 @@ def hurwitz_zeta2(m: int) -> float:
     big_j = float(cutoff)
     tail = 1.0 / big_j + 0.5 / (big_j * big_j) + 1.0 / (6.0 * big_j**3)
     return head + tail
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function on (0, inf)."""
-    if not x > 0.0:
-        raise NonPositiveArgument(f"log_gamma needs x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def normal_cdf(z: float) -> float:

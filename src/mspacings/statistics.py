@@ -36,7 +36,7 @@ from .errors import (
     ZeroSpacing,
 )
 from .lagcov import window_sums
-from .spacings import CircularSample, SpacingScheme, spacing_rows
+from .spacings import CircularSample, spacing_rows
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,6 @@ class StatisticKind:
     sum_fn: Callable[[np.ndarray], np.ndarray]
     requires_positive: bool = False
 
-    CLOSED_FORM_NAMES: ClassVar[tuple[str, ...]] = ("greenwood", "moran", "entropy")
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.name in self.CLOSED_FORM_NAMES
-
     def as_tuple_function(self, m: int) -> TupleFunction:
         """The order-m tuple function that applies ``sum_fn`` to the row total."""
         sum_fn = self.sum_fn
@@ -198,8 +192,8 @@ MORAN = StatisticKind("moran", np.log, requires_positive=True)
 #: x log x with the 0 log 0 = 0 convention.
 ENTROPY = StatisticKind("entropy", _xlogx)
 
-_NAMED_KINDS = (GREENWOOD, MORAN, ENTROPY)
-_KINDS_BY_NAME = {k.name: k for k in _NAMED_KINDS}
+#: The one registry of named kinds, the ones with closed-form moments.
+NAMED_KINDS = {k.name: k for k in (GREENWOOD, MORAN, ENTROPY)}
 
 
 def custom_sum(fn: Callable, name: str = "custom-sum", requires_positive: bool = False) -> StatisticKind:
@@ -212,10 +206,10 @@ def resolve_kind(kind) -> StatisticKind:
     if isinstance(kind, StatisticKind):
         return kind
     try:
-        return _KINDS_BY_NAME[str(kind).lower()]
+        return NAMED_KINDS[str(kind).lower()]
     except KeyError:
         raise UnsupportedKind(f"unknown statistic kind {kind!r}; "
-                              f"known: {sorted(_KINDS_BY_NAME)}") from None
+                              f"known: {sorted(NAMED_KINDS)}") from None
 
 
 @dataclass(frozen=True)
@@ -307,12 +301,12 @@ class ChunkWorkspace:
         self.summands = block[2 * rows * n :].reshape(rows, width)
 
 
-def _scaled_rows(points: np.ndarray, scheme: SpacingScheme, out: np.ndarray) -> np.ndarray:
+def _scaled_rows(points: np.ndarray, m: int, out: np.ndarray,
+                 disjoint: bool = False) -> np.ndarray:
     """Spacing rows multiplied by the arc count n, written into the first
     columns of ``out``."""
-    rows, n = points.shape
-    scaled = spacing_rows(points, scheme, out[:rows, : scheme.count(n)])
-    scaled *= n
+    scaled = spacing_rows(points, m, disjoint, out[: len(points)])
+    scaled *= points.shape[1]
     return scaled
 
 
@@ -320,7 +314,7 @@ def _apply_kind(kind: StatisticKind, x: np.ndarray, out: np.ndarray) -> np.ndarr
     """``kind.sum_fn(x)`` written into ``out``, which must not overlap ``x``;
     the named kinds write there directly."""
     with np.errstate(all="ignore"):
-        if kind in _NAMED_KINDS:
+        if kind in NAMED_KINDS.values():
             return kind.sum_fn(x, out=out)
         out[...] = kind.sum_fn(x)
     return out
@@ -340,19 +334,19 @@ def _kind_summands(kind: StatisticKind, x: np.ndarray, work: ChunkWorkspace) -> 
 
 def _overlapping_summands(points: np.ndarray, m: int, kind: StatisticKind,
                           work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, SpacingScheme.overlapping(m), work.values)
+    x = _scaled_rows(points, m, work.values)
     return _kind_summands(kind, x, work)
 
 
 def _line_summands(points: np.ndarray, m: int, kind: StatisticKind,
                    work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, SpacingScheme.overlapping(m), work.values)
+    x = _scaled_rows(points, m, work.values)
     return _kind_summands(kind, x[:, : points.shape[1] - m], work)
 
 
 def _disjoint_summands(points: np.ndarray, m: int, kind: StatisticKind,
                        work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, SpacingScheme.disjoint(m), work.values)
+    x = _scaled_rows(points, m, work.values, disjoint=True)
     return _kind_summands(kind, x, work)
 
 
@@ -366,7 +360,7 @@ def _extended_simple(points: np.ndarray, m: int, work: ChunkWorkspace) -> np.nda
     if m >= n:
         raise OrderTooLarge(f"order {m} needs more than {m} arcs, sample has {n}")
     ext = work.summands[: len(points), : n + m - 1]
-    _scaled_rows(points, SpacingScheme.simple(), ext)
+    _scaled_rows(points, 1, ext)
     ext[:, n:] = ext[:, : m - 1]
     return ext
 

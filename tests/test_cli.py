@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, report schema, reproducible output."""
 
+import argparse
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,6 @@ import mspacings
 from mspacings import (
     DomainViolation,
     SeededStream,
-    SpacingScheme,
     ZeroSpacing,
     closed_form_moments,
     resolve_kind,
@@ -23,6 +24,7 @@ from mspacings import (
 from mspacings import cli
 from mspacings.cli import main
 from mspacings.spacings import anchored_points, spacing_rows
+from mspacings.statistics import NAMED_KINDS
 
 SCHEMA = json.loads(
     (Path(mspacings.__file__).parent / "report_schema.json").read_text())
@@ -111,11 +113,26 @@ class TestExitCodes:
                              "--seed-from-entropy")
         assert code == 1
 
-    def test_threads_floor(self, capsys, data_path):
-        code, _, err = run_cli(capsys, "test", data_path, "--statistic",
-                               "greenwood", "--threads", "0")
+    @pytest.mark.parametrize("command", [
+        ("test", None, "--statistic", "greenwood"),
+        ("simulate", "--n", "20", "--reps", "10", "--statistic", "greenwood", "--seed", "1"),
+        ("sigma", "--statistic", "greenwood", "--draws", "10000", "--seed", "1"),
+        ("meancheck", "--statistic", "greenwood", "--n", "20", "--reps", "10", "--seed", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_threads_is_a_usage_error(self, capsys, data_path, command):
+        argv = [data_path if arg is None else arg for arg in command]
+        cli.build_parser().parse_args(argv)  # valid without the flag
+        code, out, err = run_cli(capsys, *argv, "--threads", "1")
         assert code == 1
+        assert out == ""
         assert "--threads" in err
+
+    def test_statistic_choices_are_the_registry(self):
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in commands.choices.items():
+            (action,) = [a for a in parser._actions if "--statistic" in a.option_strings]
+            assert list(action.choices) == list(NAMED_KINDS), name
 
     def test_unknown_statistic(self, capsys, data_path):
         code, _, _ = run_cli(capsys, "test", data_path, "--statistic", "wilcoxon")
@@ -129,6 +146,14 @@ class TestExitCodes:
     def test_sigma_needs_a_target(self, capsys):
         code, _, err = run_cli(capsys, "sigma", "--seed", "1", "--draws", "10000")
         assert code == 1
+        assert "--statistic" in err and "--custom-h" in err
+
+    def test_sigma_takes_one_target(self, capsys):
+        code, out, err = run_cli(capsys, "sigma", "--statistic", "greenwood",
+                                 "--custom-h", "cube", "--m", "2", "--draws", "10000",
+                                 "--seed", "1")
+        assert code == 1
+        assert out == ""
         assert "--statistic" in err and "--custom-h" in err
 
     def test_sigma_draw_floor(self, capsys):
@@ -210,12 +235,6 @@ class TestReproducibility:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
-
-    def test_threads_flag_never_changes_output(self, capsys, data_path):
-        base = ("test", data_path, "--statistic", "greenwood")
-        _, one, _ = run_cli(capsys, *base, "--threads", "1")
-        _, four, _ = run_cli(capsys, *base, "--threads", "4")
-        assert one == four
 
     def test_reused_parser_equals_a_fresh_one(self, capsys, data_path):
         calls = [
@@ -327,7 +346,7 @@ def looped_mean_correction(kind, n, m, reps, seed, stream_cls=SeededStream):
     while done < reps:
         count = min(rows, reps - done)
         u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
-        scaled = n * spacing_rows(anchored_points(u), SpacingScheme.overlapping(m))
+        scaled = n * spacing_rows(anchored_points(u), m)
         if kind.requires_positive and not (scaled > 0.0).all():
             bad = int(np.flatnonzero(~(scaled > 0.0).ravel())[0]) % n
             raise ZeroSpacing(bad)
@@ -397,3 +416,14 @@ def test_module_runs_as_script(tmp_path):
     doc = json.loads(proc.stdout)
     jsonschema.validate(doc, SCHEMA)
     assert doc["result"]["n"] == 11
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in (parser, *commands.choices.values()) for action in p._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    missing = [opt for opt in sorted(options)
+               if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", readme)]
+    assert missing == []

@@ -1,4 +1,4 @@
-"""Circular sample construction and the three spacing schemes."""
+"""Circular sample construction and the overlapping and disjoint spacings."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from mspacings import (
     EmptyInput,
     OrderTooLarge,
-    SpacingScheme,
     ValueOutOfRange,
     from_unit_observations,
 )
@@ -22,14 +21,14 @@ unit_value = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
 unit_obs = st.lists(unit_value, min_size=1, max_size=64)
 
 
-def spacings_of(sample, scheme):
-    """Arc lengths of one sample under ``scheme``: a one-row spacing_rows."""
-    return spacing_rows(sample.points.reshape(1, -1), scheme)[0]
+def spacings_of(sample, m, disjoint=False):
+    """Arc lengths of order m of one sample: a one-row spacing_rows."""
+    return spacing_rows(sample.points.reshape(1, -1), m, disjoint)[0]
 
 
-def scaled_of(sample, scheme):
+def scaled_of(sample, m, disjoint=False):
     """Arc lengths times the arc count n, the statistics' natural scale."""
-    return sample.arc_count * spacings_of(sample, scheme)
+    return sample.arc_count * spacings_of(sample, m, disjoint)
 
 
 def sample_and_order(draw):
@@ -82,75 +81,73 @@ class TestFromUnitObservations:
 class TestSchemes:
     def test_simple_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = spacings_of(s, SpacingScheme.simple())
+        sp = spacings_of(s, 1)
         assert sp == pytest.approx([0.2, 0.3, 0.4, 0.1], abs=4 * EPS)
         assert sp.shape == (s.arc_count,) == (4,)
 
     def test_overlapping_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = spacings_of(s, SpacingScheme.overlapping(2))
+        sp = spacings_of(s, 2)
         assert sp == pytest.approx([0.5, 0.7, 0.5, 0.3], abs=4 * EPS)
         assert math.fsum(sp) == pytest.approx(2.0, abs=16 * EPS)
 
     def test_disjoint_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = spacings_of(s, SpacingScheme.disjoint(2))
+        sp = spacings_of(s, 2, disjoint=True)
         assert sp == pytest.approx([0.5, 0.5], abs=4 * EPS)
         assert len(sp) == 2
 
     def test_disjoint_drops_partial_block(self):
         s = from_unit_observations([0.1, 0.2, 0.3, 0.4])  # n = 5
-        sp = spacings_of(s, SpacingScheme.disjoint(2))
+        sp = spacings_of(s, 2, disjoint=True)
         assert len(sp) == 2
         assert math.fsum(sp) < 1.0
 
     def test_order_too_large(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        for scheme in (SpacingScheme.overlapping(4), SpacingScheme.disjoint(5)):
+        for m, disjoint in ((4, False), (5, True)):
             with pytest.raises(OrderTooLarge):
-                spacings_of(s, scheme)
+                spacings_of(s, m, disjoint)
 
     def test_order_n_minus_one_is_fine(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        sp = spacings_of(s, SpacingScheme.overlapping(3))
+        sp = spacings_of(s, 3)
         assert len(sp) == 4
 
     def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            SpacingScheme("weekly", 2)
-        with pytest.raises(ValueError):
-            SpacingScheme.overlapping(0)
-        with pytest.raises(ValueError):
-            SpacingScheme("simple", 3)
+        s = from_unit_observations([0.2, 0.9, 0.5])
+        for disjoint in (False, True):
+            with pytest.raises(ValueError):
+                spacings_of(s, 0, disjoint)
 
 
 class TestScaledValues:
     def test_simple_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_of(s, SpacingScheme.simple())
+        out = scaled_of(s, 1)
         assert out == pytest.approx([0.8, 1.2, 1.6, 0.4], abs=16 * EPS)
 
     def test_overlapping_hand_example(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_of(s, SpacingScheme.overlapping(2))
+        out = scaled_of(s, 2)
         assert out == pytest.approx([2.0, 2.8, 2.0, 1.2], abs=16 * EPS)
 
     def test_uniform_grid_gives_ones(self):
         n = 8
         s = from_unit_observations([k / n for k in range(1, n)])
-        out = scaled_of(s, SpacingScheme.simple())
+        out = scaled_of(s, 1)
         assert np.array_equal(out, np.ones(n))
 
     def test_disjoint_uses_source_arc_count(self):
         s = from_unit_observations([0.2, 0.9, 0.5])
-        out = scaled_of(s, SpacingScheme.disjoint(2))
+        out = scaled_of(s, 2, disjoint=True)
         assert out == pytest.approx([2.0, 2.0], abs=16 * EPS)
 
 
 @given(unit_obs)
 def test_simple_spacings_sum_to_one(values):
     sample = from_unit_observations(values)
-    sp = spacings_of(sample, SpacingScheme.simple())
+    sp = spacings_of(sample, 1)
     n = sample.arc_count
     assert len(sp) == n
     assert abs(math.fsum(sp) - 1.0) <= 4 * n * EPS
@@ -160,7 +157,7 @@ def test_simple_spacings_sum_to_one(values):
 @given(st.data())
 def test_overlapping_spacings_sum_to_m(data):
     sample, m = sample_and_order(data.draw)
-    sp = spacings_of(sample, SpacingScheme.overlapping(m))
+    sp = spacings_of(sample, m)
     assert len(sp) == sample.arc_count
     assert abs(math.fsum(sp) - m) <= 4 * sample.arc_count * EPS
 
@@ -168,16 +165,16 @@ def test_overlapping_spacings_sum_to_m(data):
 @given(unit_obs)
 def test_overlapping_order_one_equals_simple(values):
     sample = from_unit_observations(values)
-    simple = spacings_of(sample, SpacingScheme.simple())
-    over = spacings_of(sample, SpacingScheme.overlapping(1))
+    simple = np.diff(sample.points, append=1.0)
+    over = spacings_of(sample, 1)
     assert np.array_equal(simple, over)
 
 
 @given(st.data())
 def test_overlapping_window_matches_simple_sum(data):
     sample, m = sample_and_order(data.draw)
-    simple = spacings_of(sample, SpacingScheme.simple())
-    over = spacings_of(sample, SpacingScheme.overlapping(m))
+    simple = spacings_of(sample, 1)
+    over = spacings_of(sample, m)
     n = sample.arc_count
     ext = np.concatenate([simple, simple])
     for k in range(n):
@@ -188,7 +185,7 @@ def test_overlapping_window_matches_simple_sum(data):
 @given(st.data())
 def test_disjoint_block_count_and_mass(data):
     sample, m = sample_and_order(data.draw)
-    sp = spacings_of(sample, SpacingScheme.disjoint(m))
+    sp = spacings_of(sample, m, disjoint=True)
     n = sample.arc_count
     assert len(sp) == n // m
     total = math.fsum(sp)
@@ -200,22 +197,21 @@ def test_disjoint_block_count_and_mass(data):
 @given(st.data())
 def test_spacings_are_pure_functions(data):
     sample, m = sample_and_order(data.draw)
-    scheme = SpacingScheme.overlapping(m)
-    first = spacings_of(sample, scheme)
-    second = spacings_of(sample, scheme)
+    first = spacings_of(sample, m)
+    second = spacings_of(sample, m)
     assert np.array_equal(first, second)
 
 
-def one_sample_spacings(points, scheme):
-    """The spacing arithmetic written for one sample, as a reference."""
-    m = scheme.m
-    if scheme.mode == "simple":
+def one_sample_spacings(points, m, disjoint=False):
+    """The spacing arithmetic written for one sample, as a reference; the
+    overlapping spacings of order 1 are the simple ones."""
+    if disjoint:
+        ext = np.append(points, 1.0)
+        return np.diff(ext[np.arange(points.size // m + 1) * m])
+    if m == 1:
         return np.diff(points, append=1.0)
-    if scheme.mode == "overlapping":
-        ext = np.concatenate([points, 1.0 + points[:m]])
-        return ext[m:] - ext[:-m]
-    ext = np.append(points, 1.0)
-    return np.diff(ext[np.arange(points.size // m + 1) * m])
+    ext = np.concatenate([points, 1.0 + points[:m]])
+    return ext[m:] - ext[:-m]
 
 
 @given(st.integers(min_value=1, max_value=40).flatmap(
@@ -231,11 +227,10 @@ def test_rows_match_one_sample_arithmetic(rows, data):
         assert np.array_equal(points[r], sample.points)
         if m >= n:
             continue
-        for scheme in (SpacingScheme.simple(), SpacingScheme.overlapping(m),
-                       SpacingScheme.disjoint(m)):
-            expected = one_sample_spacings(sample.points, scheme)
-            assert np.array_equal(spacing_rows(points, scheme)[r], expected)
-            assert np.array_equal(spacings_of(sample, scheme), expected)
+        for order, disjoint in ((1, False), (m, False), (m, True)):
+            expected = one_sample_spacings(sample.points, order, disjoint)
+            assert np.array_equal(spacing_rows(points, order, disjoint)[r], expected)
+            assert np.array_equal(spacings_of(sample, order, disjoint), expected)
 
 
 def test_row_form_range_check_names_column():
@@ -250,4 +245,4 @@ def test_row_form_range_check_names_column():
 
 def test_row_form_order_check():
     with pytest.raises(OrderTooLarge):
-        spacing_rows(anchored_points(np.full((2, 3), 0.5)), SpacingScheme.disjoint(4))
+        spacing_rows(anchored_points(np.full((2, 3), 0.5)), 4, disjoint=True)

@@ -14,7 +14,6 @@ from mspacings import (
     NonPositiveArgument,
     digamma_int,
     hurwitz_zeta2,
-    log_gamma,
     mu_n,
     normal_cdf,
 )
@@ -78,22 +77,6 @@ class TestHurwitzZeta2:
     def test_domain(self):
         with pytest.raises(NonPositiveArgument):
             hurwitz_zeta2(0)
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_factorial(self):
-        assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-12)
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(NonPositiveArgument):
-                log_gamma(bad)
 
 
 class TestNormalCdf:

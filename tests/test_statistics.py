@@ -19,6 +19,7 @@ from mspacings import (
     TupleFunctionFamily,
     UnsupportedKind,
     ZeroSpacing,
+    closed_form_moments,
     custom_sum,
     from_unit_observations,
     resolve_kind,
@@ -28,8 +29,8 @@ from mspacings import (
     statistic_W,
     statistic_Z,
 )
-from mspacings.spacings import SpacingScheme, anchored_points, spacing_rows
-from mspacings.statistics import _xlogx, evaluate, evaluate_rows
+from mspacings.spacings import anchored_points, spacing_rows
+from mspacings.statistics import NAMED_KINDS, _xlogx, evaluate, evaluate_rows
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -60,9 +61,17 @@ class TestResolveKind:
         with pytest.raises(UnsupportedKind):
             resolve_kind("kolmogorov")
 
-    def test_closed_form_flags(self):
-        assert GREENWOOD.has_closed_form
-        assert not custom_sum(np.square).has_closed_form
+    def test_registry_resolves_each_name(self):
+        assert NAMED_KINDS == {"greenwood": GREENWOOD, "moran": MORAN, "entropy": ENTROPY}
+        for name, kind in NAMED_KINDS.items():
+            assert resolve_kind(name) is kind
+            assert resolve_kind(name.upper()) is kind
+
+    def test_registry_kinds_have_closed_forms(self):
+        for kind in NAMED_KINDS.values():
+            assert closed_form_moments(kind, 100, 2).variance > 0.0
+        with pytest.raises(UnsupportedKind):
+            closed_form_moments(custom_sum(np.square), 100, 2)
 
 
 class TestZ:
@@ -447,11 +456,11 @@ def test_value_is_fsum_of_the_summands(values, m):
     if m >= n:
         return
     points = sample.points.reshape(1, -1)
-    x = n * spacing_rows(points, SpacingScheme.overlapping(m))[0]
+    x = n * spacing_rows(points, m)[0]
     assert statistic_V(sample, m, "greenwood").value == math.fsum(np.square(x))
     assert statistic_W(sample, m, "entropy").value == math.fsum(
         ENTROPY.sum_fn(x[: n - m]))
-    x = n * spacing_rows(points, SpacingScheme.disjoint(m))[0]
+    x = n * spacing_rows(points, m, disjoint=True)[0]
     assert statistic_Q(sample, m, "greenwood").value == math.fsum(np.square(x))
 
 
