@@ -309,6 +309,18 @@ def holst_vs_corrected(h, m: int, draws: int, seed: int) -> tuple[Estimate, Esti
     return holst, corrected
 
 
+def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
+    """Stationary-stream estimate of the per-window variance coefficient.
+
+    One exponential stream of length window_draws + 2m supplies all windows;
+    lag covariances for j in [-(m-1), m-1] share one accumulator per |j|, and
+    the assembled value subtracts the squared covariance with the window
+    total.  The standard error comes from contiguous batch means.  This is
+    the corrected assembly of :func:`holst_comparison`.
+    """
+    return holst_comparison(h, m, window_draws, seed)[1]
+
+
 def estimate_general_moments(
     family: TupleFunctionFamily, n: int, m: int, replications: int, seed: int
 ) -> GeneralMoments:
@@ -409,10 +421,14 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
     (constant and linear h), and inf when the variance degenerates while g
     does not.
     """
-    if r <= 2.0:
-        raise ValueError(f"the moment order must exceed 2, got {r}")
+    if not 2.0 < r < math.inf:
+        raise ValueError(f"the moment order must be finite and exceed 2, got {r}")
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    if n <= m:
+        raise ValueError(f"need n > m, got n={n}, m={m}")
     x, hv, w = stream_window_values(h, m, draws, seed)
     comp = components(hv, w, m)
     base_count = hv.size - (m - 1)

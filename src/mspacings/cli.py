@@ -195,11 +195,8 @@ def _cmd_test(args: argparse.Namespace) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     seed = _resolve_seed(args)
-    try:
-        config = McConfig(n=args.n, m=args.m, kind=args.statistic,
-                          replications=args.reps, seed=seed, variant=args.variant)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    config = McConfig(n=args.n, m=args.m, kind=args.statistic,
+                      replications=args.reps, seed=seed, variant=args.variant)
     summary = simulate_null(config, measure_time=args.timing)
     params = {"n": args.n, "m": args.m, "statistic": args.statistic,
               "replications": args.reps, "seed": seed, "variant": config.variant}

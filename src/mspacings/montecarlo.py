@@ -8,9 +8,7 @@ sort, the spacing arithmetic and the exact sums run over whole chunks; every
 statistic value equals the one-sample evaluation of the same draws, so the
 result does not depend on the chunk boundaries.  Each run allocates one
 :class:`~mspacings.statistics.ChunkWorkspace` at its largest chunk shape, and
-every chunk is drawn, sorted and evaluated in its buffers.  A direct
-stationary-stream estimator of the per-window variance coefficient lives here
-as well.
+every chunk is drawn, sorted and evaluated in its buffers.
 """
 
 from __future__ import annotations
@@ -21,19 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticMoments, closed_form_moments, holst_comparison
+from .asymptotics import AsymptoticMoments, closed_form_moments
 from .errors import (
     DegenerateVariance,
     MSpacingsError,
     SimulationAborted,
 )
-from .lagcov import Estimate
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
+from .specfun import normal_cdf
 from .statistics import KIND_VARIANTS, ChunkWorkspace, evaluate_rows, resolve_kind
 
-# the constant of specfun.normal_cdf, so the KS distance matches it bit for bit
-_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class McConfig:
@@ -87,7 +83,7 @@ def ks_distance_to_normal(z_values) -> float:
     count = z.size
     if count == 0:
         raise ValueError("need at least one value")
-    phi = np.array([0.5 * math.erfc(-v * _INV_SQRT_2) for v in z.tolist()])
+    phi = np.array([normal_cdf(v) for v in z.tolist()])
     steps = np.arange(1, count + 1) / count
     d_plus = float(np.max(steps - phi))
     d_minus = float(np.max(phi - (steps - 1.0 / count)))
@@ -153,15 +149,3 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
         seed=config.seed,
         wall_time_s=elapsed,
     )
-
-
-def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
-    """Stationary-stream estimate of the per-window variance coefficient.
-
-    One exponential stream of length window_draws + 2m supplies all windows;
-    lag covariances for j in [-(m-1), m-1] share one accumulator per |j|, and
-    the assembled value subtracts the squared covariance with the window
-    total.  The standard error comes from contiguous batch means.  This is
-    the corrected assembly of :func:`~mspacings.asymptotics.holst_comparison`.
-    """
-    return holst_comparison(h, m, window_draws, seed)[1]

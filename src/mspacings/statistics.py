@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -320,34 +321,30 @@ def _apply_kind(kind: StatisticKind, x: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _kind_summands(kind: StatisticKind, x: np.ndarray, work: ChunkWorkspace) -> np.ndarray:
-    """``kind.sum_fn`` of scaled spacing rows, checking its domain."""
-    if kind.requires_positive and not (x > 0.0).all():
-        raise ZeroSpacing(_first(x <= 0.0)[1])
-    hv = _apply_kind(kind, x, work.summands[: x.shape[0], : x.shape[1]])
+def _finite(hv: np.ndarray, detail=None) -> np.ndarray:
+    """``hv`` when every summand is finite; otherwise a DomainViolation at the
+    first that is not, in row-major order, described by ``detail(r, k)``
+    (by default its value)."""
     bad = ~np.isfinite(hv)
     if bad.any():
         r, k = _first(bad)
-        raise DomainViolation(k, f"{kind.name} returned {hv[r, k]!r} at value {x[r, k]!r}")
+        raise DomainViolation(k, detail(r, k) if detail else f"value {float(hv[r, k])!r}")
     return hv
 
 
-def _overlapping_summands(points: np.ndarray, m: int, kind: StatisticKind,
-                          work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, m, work.values)
-    return _kind_summands(kind, x, work)
-
-
-def _line_summands(points: np.ndarray, m: int, kind: StatisticKind,
-                   work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, m, work.values)
-    return _kind_summands(kind, x[:, : points.shape[1] - m], work)
-
-
-def _disjoint_summands(points: np.ndarray, m: int, kind: StatisticKind,
-                       work: ChunkWorkspace) -> np.ndarray:
-    x = _scaled_rows(points, m, work.values, disjoint=True)
-    return _kind_summands(kind, x, work)
+def _spacing_summands(points: np.ndarray, m: int, kind: StatisticKind, work: ChunkWorkspace,
+                      disjoint: bool = False, line: bool = False) -> np.ndarray:
+    """V, W and Q: ``kind.sum_fn`` of the scaled m-spacings, the disjoint
+    ones when ``disjoint`` is set (Q), and only the n - m windows that do not
+    wrap when ``line`` is set (W)."""
+    x = _scaled_rows(points, m, work.values, disjoint)
+    if line:
+        x = x[:, : points.shape[1] - m]
+    if kind.requires_positive and not (x > 0.0).all():
+        raise ZeroSpacing(_first(x <= 0.0)[1])
+    hv = _apply_kind(kind, x, work.summands[: x.shape[0], : x.shape[1]])
+    return _finite(hv, lambda r, k: f"{kind.name} returned {float(hv[r, k])!r} "
+                                    f"at value {float(x[r, k])!r}")
 
 
 def _extended_simple(points: np.ndarray, m: int, work: ChunkWorkspace) -> np.ndarray:
@@ -365,25 +362,20 @@ def _extended_simple(points: np.ndarray, m: int, work: ChunkWorkspace) -> np.nda
     return ext
 
 
-def _total_summands(points: np.ndarray, m: int, kind: StatisticKind,
-                    work: ChunkWorkspace) -> np.ndarray:
-    """``kind.sum_fn`` of the total of every window of m consecutive scaled
-    simple spacings, row k starting at arc k: the same values as its tuple
-    function ``kind.as_tuple_function(m)``, without a copy of the windows."""
-    totals = window_sums(_extended_simple(points, m, work), m,
-                         work.values[: len(points), : points.shape[1]])
-    hv = _apply_kind(kind, totals, work.summands[: len(points), : points.shape[1]])
-    bad = ~np.isfinite(hv)
-    if bad.any():
-        r, k = _first(bad)
-        raise DomainViolation(k, f"value {hv[r, k]!r}")
-    return hv
-
-
 def _window_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np.ndarray:
-    """A tuple function (or a family, one function per position) of every
-    window of m consecutive scaled simple spacings, row k starting at arc k."""
+    """Z and R: ``fn`` of every window of m consecutive scaled simple
+    spacings, row k starting at arc k.
+
+    A statistic kind applies ``sum_fn`` to the window totals, which gives the
+    values of its tuple function ``kind.as_tuple_function(m)`` without a copy
+    of the windows; a family applies its function k to window k.
+    """
     n = points.shape[1]
+    out = work.summands[: len(points), :n]
+    if isinstance(fn, StatisticKind):
+        totals = window_sums(_extended_simple(points, m, work), m,
+                             work.values[: len(points), :n])
+        return _finite(_apply_kind(fn, totals, out))
     family = isinstance(fn, TupleFunctionFamily)
     if family and len(fn) != n:
         raise FamilyLengthMismatch(f"family has {len(fn)} functions, sample has {n} arcs")
@@ -403,50 +395,34 @@ def _window_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np
             hv = fn.evaluate_all(windows)
         else:
             hv = fn.evaluate(windows.reshape(-1, m)).reshape(windows.shape[:2])
-    bad = ~np.isfinite(hv)
-    if bad.any():
-        r, k = _first(bad)
-        raise DomainViolation(k, f"value {hv[r, k]!r}")
-    out = work.summands[: len(points), :n]
-    out[...] = hv
+    # the windows are views of the buffer under ``out``, so it is written last
+    out[...] = _finite(hv)
     return out
-
-
-def _circular_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np.ndarray:
-    """Variant Z: a statistic kind of the window totals, or a tuple function
-    of the windows."""
-    if isinstance(fn, StatisticKind):
-        return _total_summands(points, m, fn, work)
-    return _window_summands(points, m, fn, work)
-
-
-def _window_function(fn):
-    """A tuple function as given, anything else as a statistic kind."""
-    return fn if isinstance(fn, TupleFunction) else resolve_kind(fn)
 
 
 @dataclass(frozen=True)
 class Variant:
     """One statistic variant.
 
-    ``resolve(fn)`` turns the caller's function argument into what
-    ``summands(points, m, fn, work)`` evaluates (None takes it as given);
-    ``summands`` maps a (rows, n) matrix of anchored sorted points to the
-    (rows, count) matrix of summands, in ``work.summands``.
+    ``summands(points, m, fn, work)`` maps a (rows, n) matrix of anchored
+    sorted points to the (rows, count) matrix of summands, in
+    ``work.summands``.  ``fn`` must be an instance of one of the types in
+    ``takes``; any other argument is read as a kind name when the variant
+    takes statistic kinds, and refused otherwise.
     """
 
     name: str
-    resolve: Callable | None
+    takes: tuple[type, ...]
     summands: Callable
 
 
 #: The one table of statistic variants, keyed by their lower-case letter.
 VARIANTS = {
-    "v": Variant("V", resolve_kind, _overlapping_summands),
-    "w": Variant("W", resolve_kind, _line_summands),
-    "q": Variant("Q", resolve_kind, _disjoint_summands),
-    "z": Variant("Z", _window_function, _circular_summands),
-    "r": Variant("R", None, _window_summands),
+    "v": Variant("V", (StatisticKind,), _spacing_summands),
+    "w": Variant("W", (StatisticKind,), partial(_spacing_summands, line=True)),
+    "q": Variant("Q", (StatisticKind,), partial(_spacing_summands, disjoint=True)),
+    "z": Variant("Z", (StatisticKind, TupleFunction), _window_summands),
+    "r": Variant("R", (TupleFunctionFamily, TupleFunction), _window_summands),
 }
 
 #: Variants that evaluate a scalar statistic kind (the CLI's and the simulator's).
@@ -457,8 +433,12 @@ def _evaluate(points: np.ndarray, m: int, fn, variant: str,
               work: ChunkWorkspace | None):
     """(resolved fn, summand count, row values) of ``variant`` on ``points``."""
     spec = VARIANTS[variant]
-    if spec.resolve is not None:
-        fn = spec.resolve(fn)
+    if not isinstance(fn, spec.takes):
+        if StatisticKind not in spec.takes:
+            raise UnsupportedKind(f"variant {spec.name} takes "
+                                  f"{' or '.join(t.__name__ for t in spec.takes)}, "
+                                  f"not {type(fn).__name__}")
+        fn = resolve_kind(fn)
     if work is None:
         work = ChunkWorkspace(*points.shape, m)
     hv = spec.summands(points, m, fn, work)

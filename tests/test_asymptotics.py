@@ -3,6 +3,7 @@ estimation, and the normal-limit moment condition."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -546,6 +547,18 @@ class TestCltConditionRatio:
         assert 2.97 / 2.5 < value < 2.97 * 2.5
         again = clt_condition_ratio("greenwood", 100, 1, 4.0, draws=1_000_000, seed=42)
         assert again == value
+
+    @pytest.mark.parametrize("n, m, r, message", [
+        (-5, 1, 4.0, "need n > m, got n=-5, m=1"),
+        (0, 1, 4.0, "need n > m, got n=0, m=1"),
+        (1, 3, 4.0, "need n > m, got n=1, m=3"),
+        (3, 3, 4.0, "need n > m, got n=3, m=3"),
+        (100, 1, math.nan, "the moment order must be finite and exceed 2, got nan"),
+        (100, 1, math.inf, "the moment order must be finite and exceed 2, got inf"),
+    ])
+    def test_rejects_bad_sample_size_and_moment_order(self, n, m, r, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            clt_condition_ratio("greenwood", n, m, r, draws=10_000, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

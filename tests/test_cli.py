@@ -113,6 +113,15 @@ class TestExitCodes:
                              "--seed-from-entropy")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, message", [
+        (("--reps", "1"), "replications must be >= 2, got 1"),
+        (("--m", "0"), "need 1 <= m < n, got m=0, n=20"),
+    ])
+    def test_simulate_configuration_is_input_error(self, capsys, flag, message):
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--statistic",
+                                 "greenwood", "--seed", "1", "--reps", "5", *flag)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", [
         ("test", None, "--statistic", "greenwood"),
         ("simulate", "--n", "20", "--reps", "10", "--statistic", "greenwood", "--seed", "1"),

@@ -184,6 +184,13 @@ class TestR:
         r = statistic_R(sample, 1, fam)
         assert r.value == pytest.approx(0.8**2 + 1.6**2, rel=1e-12)
 
+    def test_refuses_a_statistic_kind(self, sample):
+        for fn in (GREENWOOD, "greenwood"):
+            with pytest.raises(UnsupportedKind, match="^variant R takes "):
+                evaluate(sample, 1, fn, "r")
+        with pytest.raises(UnsupportedKind, match="^variant R takes "):
+            statistic_R(sample, 1, GREENWOOD)
+
     def test_uniform_family_equals_z(self, sample):
         h = square_tuple(2)
         fam = TupleFunctionFamily((h, h, h, h))
@@ -473,3 +480,20 @@ def test_rows_report_error_of_first_failing_row():
     with pytest.raises(ZeroSpacing) as one_row:
         statistic_V(from_unit_observations(values[2]), 1, "moran")
     assert err.value.index == one_row.value.index
+
+
+@pytest.mark.parametrize("variant, fn, detail", [
+    (variant, custom_sum(lambda x: np.log(x - 0.6), name="shifted-log"),
+     "shifted-log returned nan at value 0.0") for variant in "vwq"
+] + [
+    ("z", MORAN, "value -inf"),
+    ("z", MORAN.as_tuple_function(1), "value -inf"),
+    ("r", TupleFunctionFamily.constant(MORAN.as_tuple_function(1), 4), "value -inf"),
+])
+def test_domain_errors_print_plain_floats(variant, fn, detail):
+    # scaled spacings 1, 0, 2, 1: every function fails at the zero, window 1
+    sample = from_unit_observations([0.25, 0.25, 0.75])
+    with pytest.raises(DomainViolation) as err:
+        evaluate(sample, 1, fn, variant)
+    assert str(err.value) == f"tuple function undefined at window 1: {detail}"
+    assert "np.float64" not in str(err.value)
