@@ -11,6 +11,7 @@ stand in for the scaled overlapping m-spacings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .lagcov import (
 from .rng import CHUNK_VALUES, SeededStream
 from .specfun import digamma_int, hurwitz_zeta2
 from .statistics import (
+    NAMED_KINDS,
     StatisticResult,
     TupleFunction,
     TupleFunctionFamily,
@@ -53,6 +55,18 @@ class AsymptoticMoments:
     variance: float
     per_term_mean: float
     per_term_variance: float
+
+    def sd(self) -> float:
+        """The standard deviation that standardizes the statistic.
+
+        Raises DegenerateVariance unless the variance is finite and positive,
+        and ValueError unless the mean is finite.
+        """
+        if not 0.0 < self.variance < math.inf:
+            raise DegenerateVariance(f"variance {self.variance!r} is not finite and positive")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean {self.mean!r} is not finite")
+        return math.sqrt(self.variance)
 
 
 @dataclass(frozen=True)
@@ -115,34 +129,10 @@ def closed_form_moments(kind, n: int, m: int) -> AsymptoticMoments:
 
     The statistic-level moments multiply these by n.
     """
-    kind = resolve_kind(kind)
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    if n <= m:
-        raise ValueError(f"need n > m, got n={n}, m={m}")
-    if kind.name == "greenwood":
-        mean_coeff = m * (m + 1)
-        var_numerator = 2 * m * (m + 1) * (2 * m + 1)
-        # one of m, m+1, 2m+1 is always divisible by 3, so this is exact
-        per_var = float(var_numerator // 3)
-        per_mean = float(mean_coeff)
-        mean = float(n * mean_coeff)
-        variance = float(n * (var_numerator // 3))
-    elif kind.name == "moran":
-        per_mean = digamma_int(m)
-        per_var = (2 * m * m - 2 * m + 1) * hurwitz_zeta2(m) - 2 * m + 1
-        mean = n * per_mean
-        variance = n * per_var
-    elif kind.name == "entropy":
-        block = m * (m + 1)
-        per_mean = m * digamma_int(m + 1)
-        per_var = (2.0 * block * block * hurwitz_zeta2(m + 2) - block * (2 * m - 1)) / 4.0
-        mean = n * per_mean
-        variance = n * per_var
-    else:
-        raise UnsupportedKind(f"no closed-form moments for kind {kind.name!r}")
-    return AsymptoticMoments(mean=mean, variance=variance,
-                             per_term_mean=per_mean, per_term_variance=per_var)
+    (window, _, _), n, m = _closed_forms(kind, m, n)
+    per_mean, per_var = window(m)
+    return AsymptoticMoments(mean=float(n * per_mean), variance=float(n * per_var),
+                             per_term_mean=float(per_mean), per_term_variance=float(per_var))
 
 
 def standardize(result: StatisticResult, moments: AsymptoticMoments) -> TestReport:
@@ -151,9 +141,7 @@ def standardize(result: StatisticResult, moments: AsymptoticMoments) -> TestRepo
     The two-sided p-value is 2 (1 - Phi(|z|)); the one-sided tail
     probabilities are included for callers with a directional alternative.
     """
-    if not moments.variance > 0.0:
-        raise DegenerateVariance(f"variance {moments.variance!r} is not positive")
-    z = (result.value - moments.mean) / math.sqrt(moments.variance)
+    z = (result.value - moments.mean) / moments.sd()
     return TestReport(
         value=result.value,
         kind=result.kind,
@@ -175,16 +163,8 @@ def sigma_m_closed_form_large_m(kind, m: int) -> float:
     orders only; scripts/sigma_table.py tabulates them against the exact
     coefficients, which they track to varying degrees at moderate m.
     """
-    kind = resolve_kind(kind)
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    if kind.name == "greenwood":
-        return 4.0 * m**3 / 3.0
-    if kind.name == "moran":
-        return 1.0 / (2.0 * m * m)
-    if kind.name == "entropy":
-        return (m + 5.0) / 4.0
-    raise UnsupportedKind(f"no large-m form for kind {kind.name!r}")
+    (_, _, large_m), _, m = _closed_forms(kind, m)
+    return large_m(m)
 
 
 def exact_mean_correction(kind, n: int, m: int) -> float:
@@ -197,16 +177,50 @@ def exact_mean_correction(kind, n: int, m: int) -> float:
     * moran:     n (ln n - psi(n))            (limit 1/2)
     * entropy:   n m (ln n - psi(n+1))        (limit -m/2)
     """
+    (_, correction, _), n, m = _closed_forms(kind, m, n)
+    return correction(n, m)
+
+
+# The closed forms of each registered kind: its per-window null (mean,
+# variance) at order m, its exact mean correction at (n, m) and its leading
+# large-m variance.  Greenwood's per-window moments are integers (one of m,
+# m+1, 2m+1 is always divisible by 3), so n times them stays exact.
+_CLOSED_FORMS = {
+    "greenwood": (lambda m: (m * (m + 1), 2 * m * (m + 1) * (2 * m + 1) // 3),
+                  lambda n, m: -n * m * (m + 1) / (n + 1),
+                  lambda m: 4.0 * m**3 / 3.0),
+    "moran": (lambda m: (digamma_int(m), (2 * m * m - 2 * m + 1) * hurwitz_zeta2(m) - 2 * m + 1),
+              lambda n, m: n * (math.log(n) - digamma_int(n)),
+              lambda m: 1.0 / (2.0 * m * m)),
+    "entropy": (lambda m: (m * digamma_int(m + 1),
+                           (2.0 * (m * (m + 1)) * (m * (m + 1)) * hurwitz_zeta2(m + 2)
+                            - m * (m + 1) * (2 * m - 1)) / 4.0),
+                lambda n, m: n * m * (math.log(n) - digamma_int(n + 1)),
+                lambda m: (m + 5.0) / 4.0),
+}
+
+
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _closed_forms(kind, m, n=None):
+    """(closed forms of ``kind``, n, m) with m >= 1, and n > m when n is
+    given, checked as integers.  A custom kind that reuses a registered name
+    is refused, not given that kind's forms."""
     kind = resolve_kind(kind)
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if kind.name == "greenwood":
-        return -n * m * (m + 1) / (n + 1)
-    if kind.name == "moran":
-        return n * (math.log(n) - digamma_int(n))
-    if kind.name == "entropy":
-        return n * m * (math.log(n) - digamma_int(n + 1))
-    raise UnsupportedKind(f"no exact mean correction for kind {kind.name!r}")
+    m = _index("m", m)
+    if m < 1:
+        raise ValueError(f"order must be >= 1, got {m}")
+    if n is not None and (n := _index("n", n)) <= m:
+        raise ValueError(f"need n > m, got n={n}, m={m}")
+    if kind not in NAMED_KINDS.values():
+        raise UnsupportedKind(f"no closed forms for kind {kind.name!r}: "
+                              "it is not the registered kind of that name")
+    return _CLOSED_FORMS[kind.name], n, m
 
 
 def _window_values(h, m: int, stream: SeededStream, shape: tuple[int, ...]):

@@ -21,6 +21,7 @@ Randomized commands require an explicit ``--seed`` or ``--seed-from-entropy``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -200,17 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     summary = simulate_null(config, measure_time=args.timing)
     params = {"n": args.n, "m": args.m, "statistic": args.statistic,
               "replications": args.reps, "seed": seed, "variant": config.variant}
-    out = {
-        "replications": summary.replications,
-        "mean_z": summary.mean_z,
-        "variance_z": summary.variance_z,
-        "ks_distance": summary.ks_distance,
-        "min_z": summary.min_z,
-        "max_z": summary.max_z,
-        "seed": summary.seed,
-        "wall_time_s": summary.wall_time_s,
-    }
-    return _document("simulate", params, out, [])
+    return _document("simulate", params, dataclasses.asdict(summary), [])
 
 
 def _sigma_target(args: argparse.Namespace):

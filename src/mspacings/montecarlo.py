@@ -13,18 +13,14 @@ every chunk is drawn, sorted and evaluated in its buffers.
 
 from __future__ import annotations
 
-import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import AsymptoticMoments, closed_form_moments
-from .errors import (
-    DegenerateVariance,
-    MSpacingsError,
-    SimulationAborted,
-)
+from .errors import MSpacingsError, SimulationAborted
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
 from .specfun import normal_cdf
@@ -47,6 +43,12 @@ class McConfig:
     variant: str = "v"
 
     def __post_init__(self):
+        for name in ("n", "m", "replications", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.m < self.n:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.replications < 2:
@@ -125,9 +127,7 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
     kind = resolve_kind(config.kind)
     if moments is None:
         moments = closed_form_moments(kind, config.n, config.m)
-    if not moments.variance > 0.0:
-        raise DegenerateVariance(f"variance {moments.variance!r} is not positive")
-    sd = math.sqrt(moments.variance)
+    sd = moments.sd()
 
     start = time.perf_counter() if measure_time else None
     z = np.empty(config.replications)

@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mspacings import (
     DEFAULT_BATCHES,
+    AsymptoticMoments,
     DegenerateVariance,
     EULER_GAMMA,
     Estimate,
@@ -27,12 +28,15 @@ from mspacings import (
     clt_condition_ratio,
     closed_form_moments,
     custom_sum,
+    digamma_int,
     estimate_general_moments,
     estimate_sigma_m,
     exact_mean_correction,
     holst_comparison,
     holst_vs_corrected,
+    hurwitz_zeta2,
     mean_correction,
+    mu_n,
     resolve_kind,
     sigma_m_closed_form_large_m,
     standardize,
@@ -144,11 +148,22 @@ class TestStandardize:
         assert report.mean == 200.0 and report.variance == 400.0
 
     def test_degenerate_variance(self):
-        from mspacings import AsymptoticMoments
         flat = AsymptoticMoments(mean=1.0, variance=0.0, per_term_mean=1.0,
                                  per_term_variance=0.0)
         with pytest.raises(DegenerateVariance):
             standardize(result(1.0), flat)
+
+    @pytest.mark.parametrize("mean, variance, error", [
+        (1.0, math.inf, DegenerateVariance),
+        (1.0, math.nan, DegenerateVariance),
+        (math.nan, 1.0, ValueError),
+        (-math.inf, 1.0, ValueError),
+    ])
+    def test_non_finite_moments_refused(self, mean, variance, error):
+        moments = AsymptoticMoments(mean=mean, variance=variance, per_term_mean=0.0,
+                                    per_term_variance=0.0)
+        with pytest.raises(error):
+            standardize(result(1.0), moments)
 
 
 class TestLargeMForms:
@@ -194,6 +209,56 @@ class TestExactMeanCorrection:
             exact_mean_correction(custom_sum(np.square), 100, 1)
         with pytest.raises(ValueError):
             exact_mean_correction("greenwood", 5, 5)
+
+
+class TestRegisteredKindsOnly:
+    """Closed forms belong to the registered kinds, not to their names."""
+
+    CLOSED_FORMS = {
+        "closed_form_moments": lambda kind: closed_form_moments(kind, 100, 2),
+        "exact_mean_correction": lambda kind: exact_mean_correction(kind, 100, 2),
+        "sigma_m_closed_form_large_m": lambda kind: sigma_m_closed_form_large_m(kind, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_custom_kind_reusing_a_registered_name_is_refused(self, name):
+        with pytest.raises(UnsupportedKind, match="^no closed forms for kind 'greenwood': it is"):
+            self.CLOSED_FORMS[name](custom_sum(np.log, name="greenwood"))
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_kind_equal_to_a_registered_one_keeps_its_forms(self, name):
+        same = custom_sum(np.square, name="greenwood")
+        assert same == GREENWOOD
+        assert self.CLOSED_FORMS[name](same) == self.CLOSED_FORMS[name](GREENWOOD)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: digamma_int(2.7), "m must be an integer, got 2.7"),
+    (lambda: hurwitz_zeta2(2.7), "m must be an integer, got 2.7"),
+    (lambda: mu_n(10.7), "n must be an integer, got 10.7"),
+    (lambda: closed_form_moments("moran", 100, 2.5), "m must be an integer, got 2.5"),
+    (lambda: closed_form_moments("greenwood", 100.7, 2), "n must be an integer, got 100.7"),
+    (lambda: closed_form_moments("greenwood", math.nan, 2), "n must be an integer, got nan"),
+    (lambda: exact_mean_correction("entropy", 100.0, 2), "n must be an integer, got 100.0"),
+    (lambda: sigma_m_closed_form_large_m("moran", 2.5), "m must be an integer, got 2.5"),
+], ids=["digamma_int", "hurwitz_zeta2", "mu_n", "moments-m", "moments-n", "moments-nan",
+        "exact_mean_correction", "large_m"])
+def test_non_integer_order_or_size_is_refused(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_orders_and_sizes_are_accepted():
+    assert digamma_int(np.int64(70)) == digamma_int(70)
+    assert hurwitz_zeta2(np.int32(3)) == hurwitz_zeta2(3)
+    assert mu_n(np.uint16(10)) == mu_n(10)
+    # n m (m+1)(2m+1) overflows int64 here; the closed forms take n and m as
+    # Python integers, so greenwood's variance is still exact
+    n, m = 10**7 + 3, 10**4
+    assert closed_form_moments("greenwood", np.int64(n), np.int64(m)) == \
+        closed_form_moments("greenwood", n, m)
+    assert exact_mean_correction("moran", np.int64(n), np.int8(3)) == \
+        exact_mean_correction("moran", n, 3)
 
 
 class TestMeanCorrection:

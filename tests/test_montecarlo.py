@@ -96,6 +96,14 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(n=5, m=1, kind="greenwood", replications=5, seed=0, variant="x")
 
+    @pytest.mark.parametrize("field", ["n", "m", "replications", "seed"])
+    def test_non_integer_field_is_refused(self, field):
+        fields = {"n": 200, "m": 2, "replications": 5, "seed": 1}
+        McConfig(kind="greenwood", **{**fields, field: np.int64(fields[field])})
+        bad = fields[field] + 0.5
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {bad}$"):
+            McConfig(kind="greenwood", **{**fields, field: bad})
+
     def test_frozen(self):
         cfg = McConfig(n=10, m=1, kind="greenwood", replications=5, seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -136,6 +144,25 @@ class TestSimulateNull:
         cfg = McConfig(n=20, m=1, kind=custom_sum(np.square), replications=5, seed=0)
         with pytest.raises(UnsupportedKind):
             simulate_null(cfg)
+
+    def test_custom_kind_reusing_a_registered_name_requires_moments(self):
+        cfg = McConfig(n=200, m=2, kind=custom_sum(np.log, name="greenwood"),
+                       replications=5, seed=1)
+        with pytest.raises(UnsupportedKind):
+            simulate_null(cfg)
+
+    @pytest.mark.parametrize("mean, variance, error", [
+        (400.0, math.inf, DegenerateVariance),
+        (400.0, math.nan, DegenerateVariance),
+        (math.nan, 400.0, ValueError),
+        (math.inf, 400.0, ValueError),
+    ])
+    def test_non_finite_moments_rejected(self, mean, variance, error):
+        cfg = McConfig(n=20, m=1, kind="greenwood", replications=5, seed=0)
+        moments = AsymptoticMoments(mean=mean, variance=variance,
+                                    per_term_mean=0.0, per_term_variance=0.0)
+        with pytest.raises(error):
+            simulate_null(cfg, moments=moments)
 
     def test_zero_variance_rejected(self):
         cfg = McConfig(n=20, m=1, kind="greenwood", replications=5, seed=0)

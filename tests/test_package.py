@@ -1,11 +1,12 @@
-"""Rules on how the modules of the package depend on each other, and on the
-names the benchmark needs from it."""
+"""Rules on how the modules of the package depend on each other and tell the
+statistic kinds apart, and on the names the benchmark needs from it."""
 
 import ast
 from pathlib import Path
 
 import mspacings
-from mspacings import cli
+from mspacings import asymptotics, cli
+from mspacings.statistics import NAMED_KINDS
 
 PACKAGE = Path(mspacings.__file__).parent
 
@@ -28,6 +29,43 @@ def test_no_private_name_imported_across_modules():
 def test_guard_sees_a_private_import():
     source = "from .statistics import (\n    evaluate,\n    _scaled_rows,\n)\n"
     assert private_imports(source) == [(1, ".statistics", "_scaled_rows")]
+
+
+def name_dispatch(source: str) -> list[tuple[int, str]]:
+    """(line, kind name) of every comparison of a ``.name`` attribute with the
+    name of a registered kind written as a string literal."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if not any(isinstance(op, ast.Attribute) and op.attr == "name" for op in operands):
+            continue
+        literals = [elt for op in operands
+                    for elt in (op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op])]
+        hits += [(node.lineno, lit.value) for lit in literals
+                 if isinstance(lit, ast.Constant) and lit.value in NAMED_KINDS]
+    return hits
+
+
+def test_no_kind_is_told_apart_by_its_name():
+    # a custom kind may reuse a registered name, so its name says nothing of
+    # its formulas: the closed forms go by the kinds themselves
+    found = {path.name: name_dispatch(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_guard_sees_a_name_comparison():
+    source = ('if kind.name == "greenwood":\n    pass\n'
+              'elif "moran" != h.name or k.name in ("entropy", "cube"):\n    pass\n'
+              'ok = kind.name == "custom-sum" or kind == "moran"\n')
+    assert name_dispatch(source) == [(1, "greenwood"), (3, "moran"), (3, "entropy")]
+
+
+def test_closed_forms_cover_exactly_the_registered_kinds():
+    # the CLI offers every registered kind, and each needs its closed forms
+    assert asymptotics._CLOSED_FORMS.keys() == NAMED_KINDS.keys()
 
 
 BENCH_WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
