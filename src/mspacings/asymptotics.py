@@ -207,6 +207,11 @@ def _index(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _indices(**values) -> list[int]:
+    """The given keyword values checked by :func:`_index`, in order."""
+    return [_index(name, value) for name, value in values.items()]
+
+
 def _closed_forms(kind, m, n=None):
     """(closed forms of ``kind``, n, m) with m >= 1, and n > m when n is
     given, checked as integers.  A custom kind that reuses a registered name
@@ -280,6 +285,7 @@ def mean_correction(h, m: int, draws: int, seed: int, stream_id: int = 0) -> Est
     serve both a kind and w; they equal ``x.sum(axis=1)`` bit for bit, so a
     kind gives the same values as its tuple function (``as_tuple_function``).
     """
+    m, draws, seed, stream_id = _indices(m=m, draws=draws, seed=seed, stream_id=stream_id)
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
     _, hv, totals = _window_values(h, m, SeededStream(seed, stream_id), (draws, m))
@@ -299,6 +305,7 @@ def holst_comparison(h, m: int, draws: int, seed: int) -> tuple[Estimate, Estima
     Returns (holst, corrected, holst - corrected), each with a batch-means
     standard error; see :func:`holst_vs_corrected`.
     """
+    m, draws, seed = _indices(m=m, draws=draws, seed=seed)
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
     _, hv, w = stream_window_values(h, m, draws, seed)
@@ -332,7 +339,7 @@ def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
     total.  The standard error comes from contiguous batch means.  This is
     the corrected assembly of :func:`holst_comparison`.
     """
-    return holst_comparison(h, m, window_draws, seed)[1]
+    return holst_comparison(h, m, _index("window_draws", window_draws), seed)[1]
 
 
 def estimate_general_moments(
@@ -352,6 +359,7 @@ def estimate_general_moments(
     wherever the chunk boundaries fall.  Every chunk is drawn and evaluated
     into one block of memory, allocated once per call.
     """
+    n, m, replications, seed = _indices(n=n, m=m, replications=replications, seed=seed)
     if len(family) != n:
         raise FamilyLengthMismatch(f"family has {len(family)} functions, need n={n}")
     if family.arity != m:
@@ -435,6 +443,7 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
     (constant and linear h), and inf when the variance degenerates while g
     does not.
     """
+    n, m, draws, seed = _indices(n=n, m=m, draws=draws, seed=seed)
     if not 2.0 < r < math.inf:
         raise ValueError(f"the moment order must be finite and exceed 2, got {r}")
     if draws < MIN_DRAWS:

@@ -95,10 +95,19 @@ def _document(command: str, params: dict, result: dict, warnings: list[str]) -> 
     }
 
 
-def _load_unit_data(path: str) -> list[float]:
-    """Parse one decimal per line; blank lines and #-comments are skipped.
+def _load_unit_data(path: str) -> np.ndarray:
+    """The data values of a ``test`` file (``-`` reads stdin) as float64.
 
-    Raises CliInputError naming the 1-based line of the first bad datum.
+    The format: one value per line, in the syntax of Python's ``float()``,
+    each in [0, 1).  Lines are split as ``str.splitlines`` splits them.  Blank
+    lines, and lines that start with ``#`` after leading whitespace, are
+    skipped anywhere in the file.  Raises CliInputError naming the 1-based
+    line of the first bad value, or saying that no value was found.
+
+    The kept lines are converted by one float64 cast and range-checked once;
+    the cast gives ``float()``'s bits and accepts nothing ``float()`` rejects.
+    If the cast or the range check refuses them, or none is kept, the line
+    loop runs instead; it alone builds the error messages.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -108,8 +117,23 @@ def _load_unit_data(path: str) -> list[float]:
                 text = fh.read()
         except OSError as exc:
             raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    lines = text.splitlines()
+    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    try:
+        values = np.array(kept, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        # NaN fails both comparisons, and min/max propagate it
+        if values.size and values.min() >= 0.0 and values.max() < 1.0:
+            return values
+    return np.array(_parse_lines(lines), dtype=np.float64)
+
+
+def _parse_lines(lines: list[str]) -> list[float]:
+    """The values of ``lines`` one line at a time, for :func:`_load_unit_data`."""
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -167,8 +191,7 @@ def _emit(doc: dict, fmt: str) -> None:
 
 
 def _cmd_test(args: argparse.Namespace) -> dict:
-    values = _load_unit_data(args.data_path)
-    sample = from_unit_observations(values)
+    sample = from_unit_observations(_load_unit_data(args.data_path))
     kind = resolve_kind(args.statistic)
     if not 1 <= args.m < sample.arc_count:
         raise CliInputError(

@@ -241,8 +241,29 @@ class TestRegisteredKindsOnly:
     (lambda: closed_form_moments("greenwood", math.nan, 2), "n must be an integer, got nan"),
     (lambda: exact_mean_correction("entropy", 100.0, 2), "n must be an integer, got 100.0"),
     (lambda: sigma_m_closed_form_large_m("moran", 2.5), "m must be an integer, got 2.5"),
+    (lambda: mean_correction("greenwood", 2.0, 10_000, 0), "m must be an integer, got 2.0"),
+    (lambda: mean_correction("greenwood", 2, 10_000.0, 0), "draws must be an integer, got 10000.0"),
+    (lambda: mean_correction("greenwood", 2, 10_000, 0.5), "seed must be an integer, got 0.5"),
+    (lambda: mean_correction("greenwood", 2, 10_000, 0, stream_id=1.0),
+     "stream_id must be an integer, got 1.0"),
+    (lambda: holst_comparison("moran", 1.5, 10_000, 0), "m must be an integer, got 1.5"),
+    (lambda: holst_vs_corrected("moran", 1, 10_000.0, 0), "draws must be an integer, got 10000.0"),
+    (lambda: estimate_sigma_m("greenwood", 2.0, 10_000, 0), "m must be an integer, got 2.0"),
+    (lambda: estimate_sigma_m("greenwood", 2, 1e4, 0),
+     "window_draws must be an integer, got 10000.0"),
+    (lambda: clt_condition_ratio("greenwood", 100.5, 2, 3.0, 10_000, 0),
+     "n must be an integer, got 100.5"),
+    (lambda: clt_condition_ratio("greenwood", 100, 2, 3.0, 10_000, math.nan),
+     "seed must be an integer, got nan"),
+    (lambda: estimate_general_moments(square_family(50), 50, 1, 100.0, 0),
+     "replications must be an integer, got 100.0"),
+    (lambda: estimate_general_moments(square_family(50), 50.0, 1, 100, 0),
+     "n must be an integer, got 50.0"),
 ], ids=["digamma_int", "hurwitz_zeta2", "mu_n", "moments-m", "moments-n", "moments-nan",
-        "exact_mean_correction", "large_m"])
+        "exact_mean_correction", "large_m", "mean_correction-m", "mean_correction-draws",
+        "mean_correction-seed", "mean_correction-stream_id", "holst_comparison-m",
+        "holst_vs_corrected-draws", "sigma-m", "sigma-window_draws", "clt-n", "clt-seed",
+        "general-replications", "general-n"])
 def test_non_integer_order_or_size_is_refused(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
@@ -259,6 +280,18 @@ def test_numpy_integer_orders_and_sizes_are_accepted():
         closed_form_moments("greenwood", n, m)
     assert exact_mean_correction("moran", np.int64(n), np.int8(3)) == \
         exact_mean_correction("moran", n, 3)
+    i64, u64 = np.int64, np.uint64
+    assert mean_correction("moran", i64(2), i64(10_000), u64(3), stream_id=i64(1)) == \
+        mean_correction("moran", 2, 10_000, 3, stream_id=1)
+    assert holst_comparison("greenwood", np.int32(2), i64(10_000), u64(2**64 - 1)) == \
+        holst_comparison("greenwood", 2, 10_000, 2**64 - 1)
+    assert estimate_sigma_m("entropy", np.int8(3), u64(10_000), i64(5)) == \
+        estimate_sigma_m("entropy", 3, 10_000, 5)
+    assert clt_condition_ratio("greenwood", i64(100), i64(2), 3.0, i64(10_000), i64(4)) == \
+        clt_condition_ratio("greenwood", 100, 2, 3.0, 10_000, 4)
+    general = estimate_general_moments(square_family(50), i64(50), i64(1), i64(100), u64(6))
+    assert general == estimate_general_moments(square_family(50), 50, 1, 100, 6)
+    assert type(general.seed) is int
 
 
 class TestMeanCorrection:

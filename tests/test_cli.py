@@ -12,6 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import mspacings
 from mspacings import (
@@ -73,6 +74,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "test", str(path), "--statistic", "greenwood")
         assert code == 1
         assert "line 4" in err and "'abc'" in err
+
+    def test_first_bad_line_is_named(self, capsys, tmp_path):
+        # the one-cast path refuses the non-number on line 5 first; the line
+        # loop it falls back to still names the out-of-range value on line 3
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n0.5\n1.5\n0.25\nabc\n")
+        code, _, err = run_cli(capsys, "test", str(path), "--statistic", "greenwood")
+        assert code == 1
+        assert err == "error: line 3: value 1.5 is outside [0, 1)\n"
 
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -413,6 +423,119 @@ class TestMeancheckSimulation:
                                  "--reps", "10", "--seed", "4")
         assert (code, out) == (2, "")
         assert err == f"error: {oracle.value}\n"
+
+
+def reference_load(text: str) -> list[float]:
+    """The data-file parser as a loop over every line: the oracle for
+    ``cli._load_unit_data``."""
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise cli.CliInputError(f"line {lineno}: {line!r} is not a number") from None
+        if not 0.0 <= value < 1.0:
+            raise cli.CliInputError(f"line {lineno}: value {line} is outside [0, 1)")
+        values.append(value)
+    if not values:
+        raise cli.CliInputError("no data values found")
+    return values
+
+
+def parse_outcome(load, text):
+    """float64 bits of the values, or the error message."""
+    try:
+        return np.asarray(load(text), dtype=np.float64).view(np.uint64).tolist()
+    except cli.CliInputError as exc:
+        return str(exc)
+
+
+def load_stdin(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(text, newline=""))
+        values = cli._load_unit_data("-")
+    assert values.dtype == np.float64
+    return values
+
+
+# whitespace that str.strip removes; "\x1f" is also one that float() refuses
+PADS = st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000", " \x1f "])
+# every separator of str.splitlines
+SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x85", "\u2028", "\u2029"])
+IN_RANGE = st.floats(0.0, 1.0, exclude_max=True).map(repr)
+DATA = st.one_of(IN_RANGE, st.floats().map(repr), st.sampled_from([
+    "-0.0", "1.0", "nan", "-nan", "inf", "1_0", "0_5", "0.2_5", "\u0660.\u0665",
+    "\uff10.\uff15", "0.1 0.2", "0.5x", "0x1p-1", "1e-400", "."]))
+BLANK = st.lists(PADS, max_size=3).map("".join)
+COMMENT = st.tuples(PADS, st.sampled_from(["#", "# header", "##", "#0.5"])).map("".join)
+
+
+@st.composite
+def data_files(draw):
+    """Texts of data files: an optional header of blank and comment lines,
+    then either values alone, mostly in range, or any mix of lines."""
+    header = draw(st.lists(st.one_of(BLANK, COMMENT), max_size=3))
+    if draw(st.booleans()):
+        value = st.one_of(IN_RANGE, IN_RANGE, st.sampled_from(["1.0", "-1e-300", "nan", "1_0"]))
+        body = st.tuples(PADS, value, PADS).map("".join)
+    else:
+        body = st.one_of(st.tuples(PADS, DATA, PADS).map("".join), BLANK, COMMENT)
+    lines = header + draw(st.lists(body, max_size=8))
+    ends = draw(st.lists(SEPARATORS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+class TestDataFile:
+    @given(data_files())
+    @example("# h\n0.5\x1f\n0.25\n")
+    @example("0.1 0.2\n")
+    @example("\n\n")
+    @example("0.5\n\n")
+    @example("0.5\r\n# tail\r\n")
+    @example("#\n0.5\n-0.0\n1_0\n")
+    @example("0.5\nnan\n0.2\n")
+    @example("# h\n0.25\n1.0\n")
+    @example("0.5\n-1e-300\n")
+    @example("\u0660.\u0665\x85\xa00.25\xa0\u2028")
+    @example("   # indented header\n0.75\n")
+    def test_equals_the_line_loop(self, text):
+        assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
+
+    def test_both_paths_give_the_same_reports(self, capsys, monkeypatch, tmp_path):
+        values = SeededStream(23).uniforms(300).tolist()
+        plain = tmp_path / "plain.txt"
+        plain.write_text("# 300 uniforms\n" + "".join(f"{v!r}\n" for v in values) + "\n# end\n")
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_bytes("".join(
+            f"{v!r}\r\n" + ("# between\r\n" if k % 3 == 0 else "\r\n" if k % 3 == 1 else "")
+            for k, v in enumerate(values)).encode())
+        loops = []
+        monkeypatch.setattr(cli, "_parse_lines",
+                            lambda lines, loop=cli._parse_lines: loops.append(1) or loop(lines))
+        for kind in NAMED_KINDS:
+            for m in (1, 2, 3, 5):
+                for variant in "vwqz":
+                    options = ["--statistic", kind, "--m", str(m), "--variant", variant]
+                    reports = []
+                    for path in (plain, mixed):
+                        code, out, err = run_cli(capsys, "test", str(path), *options)
+                        assert (code, err) == (0, "")
+                        reports.append(out.replace(str(path), "FILE"))
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(mixed.read_text()))
+                    code, out, _ = run_cli(capsys, "test", "-", *options)
+                    reports.append(out.replace('"-"', '"FILE"'))
+                    assert code == 0
+                    assert reports[1] == reports[0] and reports[2] == reports[0]
+        # every valid file, comments between values included, takes the one
+        # cast; the line loop serves only files it refuses
+        assert loops == []
 
 
 def test_module_runs_as_script(tmp_path):
