@@ -95,6 +95,13 @@ def _document(command: str, params: dict, result: dict, warnings: list[str]) -> 
     }
 
 
+#: Kept lines are cast in blocks of this many, so that a refused value costs
+#: the cast of the values before it and a ``float()`` loop over part of one
+#: block; a valid file pays one list slice and one copy of its values more
+#: than a single cast.
+_CAST_BLOCK = 4096
+
+
 def _load_unit_data(path: str) -> np.ndarray:
     """The data values of a ``test`` file (``-`` reads stdin) as float64.
 
@@ -104,10 +111,11 @@ def _load_unit_data(path: str) -> np.ndarray:
     skipped anywhere in the file.  Raises CliInputError naming the 1-based
     line of the first bad value, or saying that no value was found.
 
-    The kept lines are converted by one float64 cast and range-checked once;
-    the cast gives ``float()``'s bits and accepts nothing ``float()`` rejects.
-    If the cast or the range check refuses them, or none is kept, the line
-    loop runs instead; it alone builds the error messages.
+    The kept lines are converted by float64 casts, which give ``float()``'s
+    bits and accept nothing ``float()`` rejects, block by block up to the
+    first value that ``float()`` refuses, and range-checked once.  The first
+    bad value, refused or out of range, is then named by counting the lines
+    up to it.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -119,34 +127,52 @@ def _load_unit_data(path: str) -> np.ndarray:
             raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     lines = text.splitlines()
     kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-    try:
-        values = np.array(kept, dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        # NaN fails both comparisons, and min/max propagate it
-        if values.size and values.min() >= 0.0 and values.max() < 1.0:
-            return values
-    return np.array(_parse_lines(lines), dtype=np.float64)
+    values = _cast_until_refused(kept)
+    # NaN fails both comparisons, and min/max propagate it
+    if values.size == len(kept) and values.size and values.min() >= 0.0 and values.max() < 1.0:
+        return values
+    outside = np.flatnonzero(~((values >= 0.0) & (values < 1.0)))
+    raise _bad_value(lines, int(outside[0]) if outside.size else values.size)
 
 
-def _parse_lines(lines: list[str]) -> list[float]:
-    """The values of ``lines`` one line at a time, for :func:`_load_unit_data`."""
-    values: list[float] = []
+def _cast_until_refused(kept: list[str]) -> np.ndarray:
+    """float64 values of ``kept``, up to the first one that ``float()``
+    refuses."""
+    blocks = [np.empty(0)]
+    for start in range(0, len(kept), _CAST_BLOCK):
+        block = kept[start : start + _CAST_BLOCK]
+        try:
+            blocks.append(np.array(block, dtype=np.float64))
+        except ValueError:
+            prefix = []
+            for line in block:
+                try:
+                    prefix.append(float(line))
+                except ValueError:
+                    break
+            blocks.append(np.array(prefix, dtype=np.float64))
+            if len(prefix) < len(block):
+                break
+    return np.concatenate(blocks)
+
+
+def _bad_value(lines: list[str], index: int) -> CliInputError:
+    """The error for kept value ``index`` of ``lines``, which ``float()``
+    refuses or which lies outside [0, 1), found by counting the lines up to
+    it; if there is no such value, the file holds none."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
+            continue
+        if index:
+            index -= 1
             continue
         try:
-            value = float(line)
+            float(line)
         except ValueError:
-            raise CliInputError(f"line {lineno}: {line!r} is not a number") from None
-        if not 0.0 <= value < 1.0:
-            raise CliInputError(f"line {lineno}: value {line} is outside [0, 1)")
-        values.append(value)
-    if not values:
-        raise CliInputError("no data values found")
-    return values
+            return CliInputError(f"line {lineno}: {line!r} is not a number")
+        return CliInputError(f"line {lineno}: value {line} is outside [0, 1)")
+    return CliInputError("no data values found")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -265,16 +291,20 @@ def _simulated_mean_correction(kind, n: int, m: int, reps: int, seed: int):
     of at most ``CHUNK_VALUES`` values, so the chunk boundaries never change
     them.  Each chunk is sorted in one workspace and its summands come from
     variant V of the statistic table; every row is reduced with numpy's
-    ``sum``."""
+    ``sum``, and a non-finite row total runs the variant's domain scan."""
     rows = max(1, CHUNK_VALUES // n)
     work = ChunkWorkspace(min(rows, reps), n, m)
     stream = SeededStream(seed, 0)
     totals = np.empty(reps)
+    variant = VARIANTS["v"]
     for first in range(0, reps, rows):
         count = min(rows, reps - first)
         u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
         points = anchored_points(u, out=work.points[:count])
-        totals[first : first + count] = VARIANTS["v"].summands(points, m, kind, work).sum(axis=1)
+        hv = variant.summands(points, m, kind, work)
+        chunk = np.sum(hv, axis=1, out=totals[first : first + count])
+        if not np.isfinite(chunk).all():
+            variant.scan(hv, kind, work)
     leading = closed_form_moments(kind, n, m).mean
     correction = float(np.mean(totals)) - leading
     se = float(np.std(totals, ddof=1) / math.sqrt(reps))

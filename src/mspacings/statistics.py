@@ -8,6 +8,14 @@ sample always yields a bit-identical value.  The variants share one table,
 :func:`evaluate_rows` serves the Monte Carlo engine, and the one-sample
 functions below are its one-row case.
 
+The exact sum takes one error-free extraction of every row (Rump, Ogita &
+Oishi, SIAM J. Sci. Comput. 2008): an exact sum of high parts plus a float
+sum of remainders whose error Higham's gamma_n bounds by E.  A row whose
+rounded total lies farther than E from every rounding boundary is done;
+the rare others fall through to further extractions and ``math.fsum``.
+The row magnitudes that size the extraction also reveal non-finite
+summands, so the domain scan that names the first one runs only then.
+
 Variants
 --------
 Z : circular sum of a tuple function over all n windows of simple spacings,
@@ -225,20 +233,38 @@ class StatisticResult:
     summand_count: int
 
 
-def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Correctly rounded sum of every row of a 2-D matrix of finite doubles,
-    equal bit for bit to ``math.fsum`` of the row.
+#: Rows whose largest magnitude is smaller are not certified: their error
+#: bound could underflow.
+_CERTIFIED_MIN_TOP = math.ldexp(1.0, -900)
+#: Longer rows are not certified: count**2 must be an exact double.
+_CERTIFIED_MAX_COUNT = 2**26
 
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation", SIAM J. Sci. Comput. 2008): with ``2**M >= count + 2`` and
-    ``max|p| < 2**e`` in a row, ``sigma = 2**(e + M)`` splits the row into
-    ``q = (p + sigma) - sigma``, whose entries are multiples of one power of
-    two small enough that their row sum is exact, and the exact remainder
-    ``p - q``, which is about 2**(53 - M) times smaller.  Passes repeat until
-    every remainder is zero; the few exact pass sums of a row are then
-    rounded once by ``math.fsum``.  A row whose maximum is too large for
-    ``sigma`` to be finite (or that holds a non-finite value) is summed by
-    ``math.fsum`` directly.
+
+def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Correctly rounded sum of every row of a 2-D matrix of doubles, equal
+    bit for bit to ``math.fsum`` of the row, and raising as it raises.
+
+    One error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 2008) settles almost every row.  With
+    ``2**M >= count + 2`` and ``max|p| < 2**e`` in a row, ``sigma =
+    2**(e + M)`` splits the row into ``q = (p + sigma) - sigma``, whose entries
+    are multiples of one power of two small enough that their sum ``tau`` is
+    exact in any order, and the exact remainders ``p - q``, each at most
+    ``2**(e + M - 53)`` in magnitude.  Their float sum ``rho`` is off by at
+    most Higham's ``gamma_(count-1)`` times their absolute sum, in any order,
+    which is below ``E = count**2 * 2**(e + M - 105)``.  Let ``s = tau + rho``,
+    ``d`` the exact rounding error of that addition and ``h`` half the gap
+    from ``s`` to its nearer neighbouring double (a quarter of the gap above
+    when ``|s|`` is a power of two).  If ``|d| + E < h``, the exact row sum
+    lies strictly inside the interval that rounds to ``s``, and ``s`` is the
+    answer.
+
+    Every other row falls through: zero rows, rows with ``max|p| < 2**-900``
+    (whose ``E`` could underflow) and rows within ``E`` of a rounding
+    boundary.  Their remainders are extracted again until they are all zero,
+    and the exact parts, ``tau`` first, are rounded once by ``math.fsum``.  A
+    row whose maximum is too large for ``sigma`` to be finite, or that holds
+    a non-finite value, is summed by ``math.fsum`` directly.
 
     Given ``scratch``, a float64 array of the matrix's shape that does not
     overlap it, the float64 ``matrix`` is reduced in place and both are
@@ -249,27 +275,70 @@ def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
         q = np.empty_like(p)
     else:
         p, q = matrix, scratch
+    return _exact_sums(p, q, _magnitudes(p))
+
+
+def _magnitudes(p: np.ndarray) -> np.ndarray:
+    """max |p| of every row, from two reductions that write no buffer; it is
+    NaN or infinite exactly when the row holds a non-finite value."""
+    if not p.shape[1]:
+        return np.zeros(p.shape[0])
+    return np.maximum(p.max(axis=1), -p.min(axis=1))
+
+
+def _extract(p: np.ndarray, q: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """One extraction at ``sigma = 2**scale`` per row: ``q`` takes the high
+    parts, ``p`` keeps the remainders, and the exact high-part sums are
+    returned."""
+    sigma = np.ldexp(1.0, scale)[:, None]
+    np.add(p, sigma, out=q)
+    q -= sigma
+    p -= q
+    return q.sum(axis=1)
+
+
+def _exact_sums(p: np.ndarray, q: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """:func:`exact_row_sums` of ``p`` with scratch ``q``, given the row
+    magnitudes ``top``."""
     rows, count = p.shape
+    if not count:
+        return np.zeros(rows)
     shift = (count + 1).bit_length()
-    top = np.abs(p, out=q).max(axis=1, initial=0.0)
     direct = {}
     for r in np.flatnonzero(~(top < math.ldexp(1.0, 1023 - shift))).tolist():
         direct[r] = math.fsum(p[r].tolist())
         p[r] = 0.0
         top[r] = 0.0
-    passes = []
-    while top.any():
-        sigma = np.ldexp(2.0**shift, np.frexp(top)[1])[:, None]
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        passes.append(q.sum(axis=1))
-        top = np.abs(p, out=q).max(axis=1)
-    parts = np.reshape(passes, (len(passes), rows)).T.tolist()
-    sums = np.array([math.fsum(row) for row in parts])
+    scale = np.frexp(top)[1] + shift
+    tau = _extract(p, q, scale)
+    rho = p.sum(axis=1)
+    sums = tau + rho
+    back = sums - tau
+    error = (tau - (sums - back)) + (rho - back)
+    # half the gap below |s|, the smaller of its two gaps
+    magnitude = np.abs(sums)
+    half = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
+    bound = np.ldexp(float(count * count), scale - 105)
+    settled = (np.abs(error) + bound < half) & (top >= _CERTIFIED_MIN_TOP)
+    loose = np.arange(rows) if count > _CERTIFIED_MAX_COUNT else np.flatnonzero(~settled)
+    if loose.size:
+        sums[loose] = _fall_through(p[loose], tau[loose], shift)
     for r, value in direct.items():
         sums[r] = value
     return sums
+
+
+def _fall_through(p: np.ndarray, first: np.ndarray, shift: int) -> list[float]:
+    """``math.fsum`` of every row of remainders ``p`` plus its exact part
+    ``first``: the remainders are extracted again until they are zero, and
+    each row's exact parts are rounded once."""
+    parts = [first]
+    q = np.empty_like(p)
+    top = _magnitudes(p)
+    while top.any():
+        parts.append(_extract(p, q, np.frexp(top)[1] + shift))
+        top = _magnitudes(p)
+    return [math.fsum(row) for row in np.transpose(parts).tolist()]
 
 
 def _first(mask: np.ndarray) -> tuple[int, int]:
@@ -321,15 +390,27 @@ def _apply_kind(kind: StatisticKind, x: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _finite(hv: np.ndarray, detail=None) -> np.ndarray:
-    """``hv`` when every summand is finite; otherwise a DomainViolation at the
-    first that is not, in row-major order, described by ``detail(r, k)``
-    (by default its value)."""
+def _scan(hv: np.ndarray, detail=None) -> None:
+    """A DomainViolation at the first non-finite summand of ``hv``, in
+    row-major order, described by ``detail(r, k)`` (by default its value);
+    nothing if every summand is finite."""
     bad = ~np.isfinite(hv)
     if bad.any():
         r, k = _first(bad)
         raise DomainViolation(k, detail(r, k) if detail else f"value {float(hv[r, k])!r}")
-    return hv
+
+
+def _spacing_scan(hv: np.ndarray, kind: StatisticKind, work: ChunkWorkspace) -> None:
+    """:func:`_scan` of V, W and Q summands, naming the kind and the scaled
+    spacing, which ``work.values`` still holds, at the first bad summand."""
+    x = work.values[: hv.shape[0], : hv.shape[1]]
+    _scan(hv, lambda r, k: f"{kind.name} returned {float(hv[r, k])!r} "
+                           f"at value {float(x[r, k])!r}")
+
+
+def _window_scan(hv: np.ndarray, fn, work: ChunkWorkspace) -> None:
+    """:func:`_scan` of Z and R summands, naming the bad value."""
+    _scan(hv)
 
 
 def _spacing_summands(points: np.ndarray, m: int, kind: StatisticKind, work: ChunkWorkspace,
@@ -342,9 +423,7 @@ def _spacing_summands(points: np.ndarray, m: int, kind: StatisticKind, work: Chu
         x = x[:, : points.shape[1] - m]
     if kind.requires_positive and not (x > 0.0).all():
         raise ZeroSpacing(_first(x <= 0.0)[1])
-    hv = _apply_kind(kind, x, work.summands[: x.shape[0], : x.shape[1]])
-    return _finite(hv, lambda r, k: f"{kind.name} returned {float(hv[r, k])!r} "
-                                    f"at value {float(x[r, k])!r}")
+    return _apply_kind(kind, x, work.summands[: x.shape[0], : x.shape[1]])
 
 
 def _extended_simple(points: np.ndarray, m: int, work: ChunkWorkspace) -> np.ndarray:
@@ -375,7 +454,7 @@ def _window_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np
     if isinstance(fn, StatisticKind):
         totals = window_sums(_extended_simple(points, m, work), m,
                              work.values[: len(points), :n])
-        return _finite(_apply_kind(fn, totals, out))
+        return _apply_kind(fn, totals, out)
     family = isinstance(fn, TupleFunctionFamily)
     if family and len(fn) != n:
         raise FamilyLengthMismatch(f"family has {len(fn)} functions, sample has {n} arcs")
@@ -396,7 +475,7 @@ def _window_summands(points: np.ndarray, m: int, fn, work: ChunkWorkspace) -> np
         else:
             hv = fn.evaluate(windows.reshape(-1, m)).reshape(windows.shape[:2])
     # the windows are views of the buffer under ``out``, so it is written last
-    out[...] = _finite(hv)
+    out[...] = hv
     return out
 
 
@@ -409,20 +488,28 @@ class Variant:
     ``work.summands``.  ``fn`` must be an instance of one of the types in
     ``takes``; any other argument is read as a kind name when the variant
     takes statistic kinds, and refused otherwise.
+
+    The summands may be non-finite.  ``scan(hv, fn, work)``, called on them
+    before ``work`` is used again, raises a DomainViolation at the first
+    non-finite one.  Every reduction of the summands runs it when a row
+    result comes out non-finite, which any non-finite summand makes it, so
+    finite summands are never scanned.
     """
 
     name: str
     takes: tuple[type, ...]
     summands: Callable
+    scan: Callable
 
 
 #: The one table of statistic variants, keyed by their lower-case letter.
 VARIANTS = {
-    "v": Variant("V", (StatisticKind,), _spacing_summands),
-    "w": Variant("W", (StatisticKind,), partial(_spacing_summands, line=True)),
-    "q": Variant("Q", (StatisticKind,), partial(_spacing_summands, disjoint=True)),
-    "z": Variant("Z", (StatisticKind, TupleFunction), _window_summands),
-    "r": Variant("R", (TupleFunctionFamily, TupleFunction), _window_summands),
+    "v": Variant("V", (StatisticKind,), _spacing_summands, _spacing_scan),
+    "w": Variant("W", (StatisticKind,), partial(_spacing_summands, line=True), _spacing_scan),
+    "q": Variant("Q", (StatisticKind,), partial(_spacing_summands, disjoint=True),
+                 _spacing_scan),
+    "z": Variant("Z", (StatisticKind, TupleFunction), _window_summands, _window_scan),
+    "r": Variant("R", (TupleFunctionFamily, TupleFunction), _window_summands, _window_scan),
 }
 
 #: Variants that evaluate a scalar statistic kind (the CLI's and the simulator's).
@@ -443,7 +530,11 @@ def _evaluate(points: np.ndarray, m: int, fn, variant: str,
         work = ChunkWorkspace(*points.shape, m)
     hv = spec.summands(points, m, fn, work)
     rows, count = hv.shape
-    return fn, count, exact_row_sums(hv, work.values[:rows, :count])
+    # a non-finite summand, and only that, makes its row's magnitude non-finite
+    top = _magnitudes(hv)
+    if not np.isfinite(top).all():
+        spec.scan(hv, fn, work)
+    return fn, count, _exact_sums(hv, work.values[:rows, :count], top)
 
 
 def evaluate_rows(points: np.ndarray, m: int, fn, variant: str,

@@ -517,8 +517,9 @@ class TestDataFile:
             f"{v!r}\r\n" + ("# between\r\n" if k % 3 == 0 else "\r\n" if k % 3 == 1 else "")
             for k, v in enumerate(values)).encode())
         loops = []
-        monkeypatch.setattr(cli, "_parse_lines",
-                            lambda lines, loop=cli._parse_lines: loops.append(1) or loop(lines))
+        monkeypatch.setattr(cli, "_bad_value",
+                            lambda lines, index, bad=cli._bad_value:
+                            loops.append(1) or bad(lines, index))
         for kind in NAMED_KINDS:
             for m in (1, 2, 3, 5):
                 for variant in "vwqz":
@@ -533,9 +534,27 @@ class TestDataFile:
                     reports.append(out.replace('"-"', '"FILE"'))
                     assert code == 0
                     assert reports[1] == reports[0] and reports[2] == reports[0]
-        # every valid file, comments between values included, takes the one
-        # cast; the line loop serves only files it refuses
+        # every valid file, comments between values included, is read by the
+        # casts alone; only a file with a bad value counts lines
         assert loops == []
+
+    @given(data_files(), st.sampled_from([1, 2, 3]))
+    def test_cast_blocks_do_not_matter(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CAST_BLOCK", block)
+            assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
+
+    @pytest.mark.parametrize("bad", [0, 4095, 4096, 4097, 8191, 8999])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "nan", "0.5\x1f0"])
+    @pytest.mark.parametrize("earlier", [None, "0.25 0.5", "-0.5"])
+    def test_bad_value_in_any_block(self, bad, value, earlier):
+        # the cast runs in blocks of 4096 kept lines
+        values = [repr(v) for v in SeededStream(29).uniforms(9000).tolist()]
+        values[bad] = value
+        if earlier and bad:
+            values[bad // 2] = earlier  # named first, refused or out of range
+        text = "# header\n" + "\n".join(values) + "\n# trailer\n"
+        assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
 
 
 def test_module_runs_as_script(tmp_path):
