@@ -14,6 +14,7 @@ import argparse
 from dataclasses import dataclass
 
 from mspacings import McConfig, clt_condition_ratio, simulate_null
+from mspacings.statistics import NAMED_KINDS
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class SweepConfig:
 
 def parse_args() -> SweepConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--statistic", choices=("greenwood", "moran", "entropy"),
-                        default="greenwood")
+    parser.add_argument("--statistic", choices=NAMED_KINDS, default="greenwood")
     parser.add_argument("--m", type=int, default=1, help="window order")
     parser.add_argument("--r", type=float, default=4.0,
                         help="moment order in the CLT condition (default 4)")

@@ -17,12 +17,12 @@ from mspacings import (
     holst_vs_corrected,
     sigma_m_closed_form_large_m,
 )
+from mspacings.statistics import NAMED_KINDS
 
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kinds", nargs="+", default=["greenwood", "moran", "entropy"],
-                        choices=("greenwood", "moran", "entropy"))
+    parser.add_argument("--kinds", nargs="+", default=list(NAMED_KINDS), choices=NAMED_KINDS)
     parser.add_argument("--m-values", type=int, nargs="+", default=[1, 2, 3, 5])
     parser.add_argument("--draws", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=42)

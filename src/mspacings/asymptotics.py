@@ -11,7 +11,6 @@ stand in for the scaled overlapping m-spacings.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     FamilyLengthMismatch,
     NonFiniteSample,
     UnsupportedKind,
+    checked_index,
 )
 from .lagcov import (
     DEFAULT_BATCHES,
@@ -35,6 +35,7 @@ from .lagcov import (
 from .rng import CHUNK_VALUES, SeededStream
 from .specfun import digamma_int, hurwitz_zeta2
 from .statistics import (
+    KIND_VARIANTS,
     NAMED_KINDS,
     StatisticResult,
     TupleFunction,
@@ -108,6 +109,8 @@ class TestReport:
     kind: str
     n: int
     m: int
+    variant: str
+    summand_count: int
     mean: float
     variance: float
     z: float
@@ -135,6 +138,17 @@ def closed_form_moments(kind, n: int, m: int) -> AsymptoticMoments:
                              per_term_mean=float(per_mean), per_term_variance=float(per_var))
 
 
+def null_moments(kind, n: int, m: int, variant: str) -> AsymptoticMoments:
+    """The null moments that standardize ``variant`` (one of ``KIND_VARIANTS``).
+
+    Today every variant gets V's leading-order :func:`closed_form_moments`,
+    though W sums n - m windows and Q floor(n/m) blocks: both are off-centre
+    at m > 1."""
+    if variant not in KIND_VARIANTS:
+        raise ValueError(f"variant must be one of {KIND_VARIANTS}, got {variant!r}")
+    return closed_form_moments(kind, n, m)
+
+
 def standardize(result: StatisticResult, moments: AsymptoticMoments) -> TestReport:
     """Center and scale a statistic and attach normal p-values.
 
@@ -147,6 +161,8 @@ def standardize(result: StatisticResult, moments: AsymptoticMoments) -> TestRepo
         kind=result.kind,
         n=result.n,
         m=result.m,
+        variant=result.variant,
+        summand_count=result.summand_count,
         mean=moments.mean,
         variance=moments.variance,
         z=z,
@@ -200,16 +216,9 @@ _CLOSED_FORMS = {
 }
 
 
-def _index(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _indices(**values) -> list[int]:
-    """The given keyword values checked by :func:`_index`, in order."""
-    return [_index(name, value) for name, value in values.items()]
+    """The given keyword values checked by :func:`checked_index`, in order."""
+    return [checked_index(name, value) for name, value in values.items()]
 
 
 def _closed_forms(kind, m, n=None):
@@ -217,10 +226,10 @@ def _closed_forms(kind, m, n=None):
     given, checked as integers.  A custom kind that reuses a registered name
     is refused, not given that kind's forms."""
     kind = resolve_kind(kind)
-    m = _index("m", m)
+    m = checked_index("m", m)
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    if n is not None and (n := _index("n", n)) <= m:
+    if n is not None and (n := checked_index("n", n)) <= m:
         raise ValueError(f"need n > m, got n={n}, m={m}")
     if kind not in NAMED_KINDS.values():
         raise UnsupportedKind(f"no closed forms for kind {kind.name!r}: "
@@ -339,7 +348,7 @@ def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
     total.  The standard error comes from contiguous batch means.  This is
     the corrected assembly of :func:`holst_comparison`.
     """
-    return holst_comparison(h, m, _index("window_draws", window_draws), seed)[1]
+    return holst_comparison(h, m, checked_index("window_draws", window_draws), seed)[1]
 
 
 def estimate_general_moments(

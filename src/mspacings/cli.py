@@ -3,9 +3,11 @@
 Four subcommands: ``test`` runs a uniformity test on a data file, ``simulate``
 replicates the statistic under the null, ``sigma`` estimates the per-window
 variance coefficient, ``meancheck`` compares the first-order mean correction
-against simulation and, where available, an exact value.  ``meancheck``
-evaluates its simulated samples with variant V of the statistic table, in
-chunks whose boundaries never change its result.
+against simulation and, where available, an exact value.  ``test`` and
+``simulate`` take a variant's moments from ``null_moments``; ``sigma`` and
+``meancheck`` use ``closed_form_moments``, which no variant changes.
+``meancheck`` evaluates its simulated samples with variant V of the
+statistic table, in chunks whose boundaries never change its result.
 
 Every run prints one report object: ``{"schema_version", "command", "params",
 "result", "warnings", "elapsed_ms"}``, as JSON (default) or a flat text
@@ -36,6 +38,7 @@ from .asymptotics import (
     exact_mean_correction,
     holst_comparison,
     mean_correction,
+    null_moments,
     standardize,
 )
 from .errors import (
@@ -223,24 +226,10 @@ def _cmd_test(args: argparse.Namespace) -> dict:
         raise CliInputError(
             f"order {args.m} is not in [1, n) for a sample with n={sample.arc_count} arcs")
     result = evaluate(sample, args.m, kind, args.variant)
-    report = standardize(result, closed_form_moments(kind, sample.arc_count, args.m))
+    report = standardize(result, null_moments(kind, sample.arc_count, args.m, args.variant))
     params = {"data_path": args.data_path, "statistic": kind.name,
               "m": args.m, "variant": args.variant}
-    out = {
-        "value": report.value,
-        "kind": report.kind,
-        "n": report.n,
-        "m": report.m,
-        "variant": result.variant,
-        "summand_count": result.summand_count,
-        "mean": report.mean,
-        "variance": report.variance,
-        "z": report.z,
-        "p_two_sided": report.p_two_sided,
-        "p_upper": report.p_upper,
-        "p_lower": report.p_lower,
-    }
-    return _document("test", params, out, [])
+    return _document("test", params, dict(vars(report)), [])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:

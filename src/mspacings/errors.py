@@ -1,11 +1,22 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one integer check.
 
 Every error carries enough context to locate the offending input (index of a
 bad observation, window position of a domain violation, replication number of
-an aborted simulation) so callers can report precisely.
+an aborted simulation) so callers can report precisely.  Integer arguments
+are all checked by :func:`checked_index`.
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def checked_index(name: str, value) -> int:
+    """``value`` as an int; a TypeError naming ``name`` if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class MSpacingsError(Exception):

@@ -13,14 +13,13 @@ every chunk is drawn, sorted and evaluated in its buffers.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticMoments, closed_form_moments
-from .errors import MSpacingsError, SimulationAborted
+from .asymptotics import AsymptoticMoments, null_moments
+from .errors import MSpacingsError, SimulationAborted, checked_index
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
 from .specfun import normal_cdf
@@ -44,11 +43,7 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("n", "m", "replications", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            checked_index(name, getattr(self, name))
         if not 1 <= self.m < self.n:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.replications < 2:
@@ -121,12 +116,13 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
 
     Replication r runs on stream (seed, r): n - 1 uniforms become a circular
     sample, the configured variant is evaluated and standardized with the
-    closed-form moments (or caller-supplied ``moments`` for custom kinds).
+    variant's :func:`~mspacings.asymptotics.null_moments` (or caller-supplied
+    ``moments`` for custom kinds).
     Statistic errors abort the run with the replication index attached.
     """
     kind = resolve_kind(config.kind)
     if moments is None:
-        moments = closed_form_moments(kind, config.n, config.m)
+        moments = null_moments(kind, config.n, config.m, config.variant)
     sd = moments.sd()
 
     start = time.perf_counter() if measure_time else None

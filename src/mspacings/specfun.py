@@ -11,11 +11,10 @@ absolute).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .errors import ArgumentTooSmall, NonPositiveArgument
+from .errors import ArgumentTooSmall, NonPositiveArgument, checked_index
 
 #: Euler-Mascheroni constant to double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -33,17 +32,10 @@ _DIGAMMA_SWITCH = 64
 _ZETA2_HEAD_TERMS = 1024
 
 
-def _index(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def digamma_int(m: int) -> float:
     """Digamma at a positive integer: the (m-1)-th harmonic number minus
     ``EULER_GAMMA``."""
-    m = _index("m", m)
+    m = checked_index("m", m)
     if m < 1:
         raise NonPositiveArgument(f"digamma_int needs m >= 1, got {m}")
     if m <= _DIGAMMA_SWITCH:
@@ -57,7 +49,7 @@ def digamma_int(m: int) -> float:
 
 def hurwitz_zeta2(m: int) -> float:
     """Tail sum of inverse squares from m: sum_{j >= m} j**-2, m >= 1."""
-    m = _index("m", m)
+    m = checked_index("m", m)
     if m < 1:
         raise NonPositiveArgument(f"hurwitz_zeta2 needs m >= 1, got {m}")
     cutoff = m + _ZETA2_HEAD_TERMS
@@ -79,7 +71,7 @@ def mu_n(n: int) -> float:
     Evaluated in log space so it never overflows; tends to sqrt(2*pi) from
     below as n grows.
     """
-    n = _index("n", n)
+    n = checked_index("n", n)
     if n < 2:
         raise ArgumentTooSmall(f"mu_n needs n >= 2, got {n}")
     x = float(n)

@@ -519,7 +519,8 @@ KIND_VARIANTS = ("v", "w", "q", "z")
 def _evaluate(points: np.ndarray, m: int, fn, variant: str,
               work: ChunkWorkspace | None):
     """(resolved fn, summand count, row values) of ``variant`` on ``points``."""
-    spec = VARIANTS[variant]
+    if (spec := VARIANTS.get(variant)) is None:
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     if not isinstance(fn, spec.takes):
         if StatisticKind not in spec.takes:
             raise UnsupportedKind(f"variant {spec.name} takes "

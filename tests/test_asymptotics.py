@@ -37,6 +37,7 @@ from mspacings import (
     hurwitz_zeta2,
     mean_correction,
     mu_n,
+    null_moments,
     resolve_kind,
     sigma_m_closed_form_large_m,
     standardize,
@@ -121,6 +122,13 @@ class TestClosedFormMoments:
             closed_form_moments("greenwood", 5, 5)
 
 
+@pytest.mark.parametrize("variant", ["r", "x", "V"])
+def test_null_moments_refuse_a_variant_without_them(variant):
+    with pytest.raises(ValueError, match=re.escape(
+            f"variant must be one of ('v', 'w', 'q', 'z'), got {variant!r}")):
+        null_moments("greenwood", 100, 2, variant)
+
+
 class TestStandardize:
     def test_centered_value(self):
         report = standardize(result(200.0), closed_form_moments("greenwood", 100, 1))
@@ -142,9 +150,10 @@ class TestStandardize:
         assert report.p_upper + report.p_lower == pytest.approx(1.0, rel=1e-12)
 
     def test_metadata_carried(self):
-        report = standardize(result(220.0, kind="greenwood", n=100, m=1),
+        report = standardize(result(220.0, kind="greenwood", n=100, m=2, variant="W", count=98),
                              closed_form_moments("greenwood", 100, 1))
-        assert (report.kind, report.n, report.m) == ("greenwood", 100, 1)
+        assert (report.kind, report.n, report.m) == ("greenwood", 100, 2)
+        assert (report.variant, report.summand_count) == ("W", 98)
         assert report.mean == 200.0 and report.variance == 400.0
 
     def test_degenerate_variance(self):

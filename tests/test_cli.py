@@ -22,7 +22,7 @@ from mspacings import (
     closed_form_moments,
     resolve_kind,
 )
-from mspacings import cli
+from mspacings import cli, montecarlo
 from mspacings.cli import main
 from mspacings.spacings import anchored_points, spacing_rows
 from mspacings.statistics import NAMED_KINDS
@@ -245,6 +245,39 @@ class TestReportSchema:
         assert code == 0
         doc = self.check(out)
         assert doc["elapsed_ms"] > 0.0
+
+
+class TestNullMoments:
+    """``test`` and ``simulate`` take their moments from ``null_moments``,
+    for their own variant, n and m."""
+
+    def spy(self, monkeypatch, module):
+        calls = []
+        real = module.null_moments
+
+        def null_moments(kind, n, m, variant):
+            calls.append((resolve_kind(kind).name, n, m, variant))
+            return real(kind, n, m, variant)
+
+        monkeypatch.setattr(module, "null_moments", null_moments)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["v", "w", "q", "z"])
+    def test_test_passes_its_variant(self, capsys, monkeypatch, data_path, variant):
+        calls = self.spy(monkeypatch, cli)
+        code, _, _ = run_cli(capsys, "test", data_path, "--statistic", "moran",
+                             "--m", "3", "--variant", variant)
+        assert code == 0
+        assert calls == [("moran", 21, 3, variant)]
+
+    @pytest.mark.parametrize("variant", ["v", "w", "q", "z"])
+    def test_simulate_passes_its_variant(self, capsys, monkeypatch, variant):
+        calls = self.spy(monkeypatch, montecarlo)
+        code, _, _ = run_cli(capsys, "simulate", "--n", "40", "--m", "2",
+                             "--statistic", "entropy", "--reps", "5", "--seed", "3",
+                             "--variant", variant)
+        assert code == 0
+        assert calls == [("entropy", 40, 2, variant)]
 
 
 class TestReproducibility:

@@ -497,3 +497,14 @@ def test_domain_errors_print_plain_floats(variant, fn, detail):
         evaluate(sample, 1, fn, variant)
     assert str(err.value) == f"tuple function undefined at window 1: {detail}"
     assert "np.float64" not in str(err.value)
+
+
+@pytest.mark.parametrize("variant", ["V", "x"])
+def test_unknown_variant_is_a_value_error(variant):
+    sample = from_unit_observations([0.1, 0.4, 0.8])
+    message = f"variant must be one of ('v', 'w', 'q', 'z', 'r'), got {variant!r}"
+    with pytest.raises(ValueError) as one:
+        evaluate(sample, 1, "greenwood", variant)
+    with pytest.raises(ValueError) as rows:
+        evaluate_rows(sample.points.reshape(1, -1), 1, "greenwood", variant)
+    assert str(one.value) == str(rows.value) == message
