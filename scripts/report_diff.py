@@ -6,7 +6,9 @@ checkout (``DIR/src``) and compares every command's exit code, stdout and
 stderr.  The set covers ``test`` on seeded data files for every variant
 (v, w, q, z), every named kind and m in {1, 2, 3, 5, 9}, as JSON and as
 text, plus a tied file and a file with a bad value; ``simulate`` for every
-variant; ``sigma`` with and without ``--compare-holst``; and ``meancheck``.
+variant; ``sigma`` with and without ``--compare-holst``, at 20 000 draws
+(one block of the lag sums) and at 100 003 draws and m = 5 (several
+blocks); and ``meancheck``.
 Prints the number of identical and differing reports, names each differing
 command, and exits 1 if any differs.
 
@@ -61,6 +63,8 @@ def commands(files: dict[str, str]) -> list[list[str]]:
         for holst in ([], ["--compare-holst"]):
             runs.append(["sigma", "--statistic", kind, "--m", "2", "--draws", "20000",
                          "--seed", "11", *holst])
+        runs.append(["sigma", "--statistic", kind, "--m", "5", "--draws", "100003",
+                     "--seed", "11", "--compare-holst"])
     runs.append(["sigma", "--custom-h", "square", "--m", "3", "--draws", "20000",
                  "--seed", "11", "--compare-holst"])
     for kind in KINDS:

@@ -30,6 +30,7 @@ from .lagcov import (
     batch_std_error,
     batched_components,
     components,
+    projection_moment,
     window_sums,
 )
 from .rng import CHUNK_VALUES, SeededStream
@@ -271,6 +272,9 @@ def stream_window_values(h, m: int, draws: int, seed: int, stream_id: int = 0):
     ``h`` is a StatisticKind (applied to window totals) or a TupleFunction
     of arity m (applied to the windows themselves).  Returns (x, hv, w).
     """
+    m, draws, seed, stream_id = _indices(m=m, draws=draws, seed=seed, stream_id=stream_id)
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     return _window_values(h, m, SeededStream(seed, stream_id), (draws + 2 * m,))
 
 
@@ -463,9 +467,7 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
         raise ValueError(f"need n > m, got n={n}, m={m}")
     x, hv, w = stream_window_values(h, m, draws, seed)
     comp = components(hv, w, m)
-    base_count = hv.size - (m - 1)
-    g = hv[:base_count] - hv.mean() - (x[:base_count] - 1.0) * comp.b
-    moment = float(np.mean(np.abs(g) ** r))
+    moment = projection_moment(hv, x, comp.mean_h, comp.b, m, r)
     if moment == 0.0:
         return 0.0
     if comp.corrected <= 0.0:

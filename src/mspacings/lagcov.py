@@ -8,7 +8,10 @@ makes the lag +j and lag -j covariances equal, so a single accumulator per
 |j| is used and the two-sided total is cov(0) + 2 * sum_{j>=1} cov(j).
 
 All estimators report batch-means standard errors over contiguous segments
-of the stream.
+of the stream.  :func:`components` takes the lag sums and
+:func:`projection_moment` the moment of the normal-limit condition, each in
+blocks of positions added along numpy's pairwise summation tree, so neither
+allocates a full-length temporary.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ MIN_DRAWS = 10_000
 # cumulative sums beyond it (cheaper for wide windows, slightly less accurate).
 _WINDOW_SUM_SWITCH = 64
 
-# Positions per block of the lag sums in components: the block's centred
-# values and products stay in cache.
+# Positions per block of the lag sums in components and of the moment in
+# projection_moment: the block's temporaries stay in cache.
 _LAG_BLOCK = 1 << 15
 
 
@@ -51,12 +54,13 @@ class SigmaComponents:
     ``corrected`` subtracts the squared covariance of the statistic with its
     own window total; ``holst`` subtracts the squared pooled cross-lag
     covariance divided by the order.  ``b`` is the lag-0 covariance with the
-    window total.
+    window total, and ``mean_h`` the mean of the statistic values.
     """
 
     corrected: float
     holst: float
     b: float
+    mean_h: float
 
 
 def window_sums(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,7 +159,36 @@ def components(hv: np.ndarray, w: np.ndarray, m: int) -> SigmaComponents:
         corrected=lag_total - b * b,
         holst=lag_total - (cross_total / m) ** 2,
         b=b,
+        mean_h=float(mean_h),
     )
+
+
+def projection_moment(hv: np.ndarray, x: np.ndarray, mean_h: float, b: float,
+                      m: int, r: float) -> float:
+    """Mean of |g|^r, with g = hv - mean_h - (x - 1) b over the first
+    ``len(hv) - m + 1`` positions: the moment in the normal-limit condition
+    ratio, for the values hv and totals of windows that start at the stream
+    entries x.
+
+    The sum is taken over blocks of positions, in two block-sized buffers,
+    and equals ``np.mean(np.abs(g) ** r)`` of the full-length g bit for bit
+    (see :func:`_pairwise_sum`).
+    """
+    count = hv.size - (m - 1)
+    width = min(count, _LAG_BLOCK)
+    g = np.empty(width)
+    linear = np.empty(width)
+
+    def leaf(lo: int, n: int):
+        gn, ln = g[:n], linear[:n]
+        np.subtract(hv[lo : lo + n], mean_h, out=gn)
+        np.subtract(x[lo : lo + n], 1.0, out=ln)
+        ln *= b
+        gn -= ln
+        np.abs(gn, out=gn)
+        return np.power(gn, r, out=gn).sum()
+
+    return float(_pairwise_sum(leaf, count) / count)
 
 
 def batched_components(

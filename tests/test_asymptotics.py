@@ -4,6 +4,7 @@ estimation, and the normal-limit moment condition."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ class TestRegisteredKindsOnly:
      "n must be an integer, got 100.5"),
     (lambda: clt_condition_ratio("greenwood", 100, 2, 3.0, 10_000, math.nan),
      "seed must be an integer, got nan"),
+    (lambda: stream_window_values("greenwood", 2.0, 10_000, 0), "m must be an integer, got 2.0"),
+    (lambda: stream_window_values("greenwood", 2, 10_000.0, 0),
+     "draws must be an integer, got 10000.0"),
+    (lambda: stream_window_values("greenwood", 2, 10_000, 0.5), "seed must be an integer, got 0.5"),
+    (lambda: stream_window_values("greenwood", 2, 10_000, 0, stream_id=1.5),
+     "stream_id must be an integer, got 1.5"),
     (lambda: estimate_general_moments(square_family(50), 50, 1, 100.0, 0),
      "replications must be an integer, got 100.0"),
     (lambda: estimate_general_moments(square_family(50), 50.0, 1, 100, 0),
@@ -272,7 +279,8 @@ class TestRegisteredKindsOnly:
         "exact_mean_correction", "large_m", "mean_correction-m", "mean_correction-draws",
         "mean_correction-seed", "mean_correction-stream_id", "holst_comparison-m",
         "holst_vs_corrected-draws", "sigma-m", "sigma-window_draws", "clt-n", "clt-seed",
-        "general-replications", "general-n"])
+        "window_values-m", "window_values-draws", "window_values-seed",
+        "window_values-stream_id", "general-replications", "general-n"])
 def test_non_integer_order_or_size_is_refused(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
@@ -458,6 +466,34 @@ STREAM_ESTIMATORS = {
 def test_stream_estimators_reject_order_below_one(name, m):
     with pytest.raises(ValueError, match=f"^order must be >= 1, got {m}$"):
         STREAM_ESTIMATORS[name](m)
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_stream_window_values_rejects_draws_below_one(draws):
+    with pytest.raises(ValueError, match=f"^draws must be >= 1, got {draws}$"):
+        stream_window_values("greenwood", 2, draws, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
+def test_stream_estimators_hold_at_most_three_and_a_half_streams(kind, m):
+    # a stream estimator keeps the stream x, its window totals and its
+    # summands (two arrays at m = 1); every other buffer is a block, so the
+    # peak numpy allocation stays below 3.5 stream-lengths of float64
+    draws = 1_000_000
+    limit = 3.5 * 8 * (draws + 2 * m)
+    calls = {
+        "clt_condition_ratio": lambda: clt_condition_ratio(kind, 5000, m, 3.0, draws, 1),
+        "estimate_sigma_m": lambda: estimate_sigma_m(kind, m, draws, 1),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"{name}: traced peak {peak / (limit / 3.5):.2f} stream-lengths"
 
 
 class TestEstimateGeneralMoments:

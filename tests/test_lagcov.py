@@ -19,6 +19,7 @@ from mspacings import (
     window_sums,
 )
 from mspacings import lagcov
+from mspacings.lagcov import projection_moment
 
 BLOCK = lagcov._LAG_BLOCK
 
@@ -45,11 +46,19 @@ def looped_components(hv, w, m) -> SigmaComponents:
         if j == 0:
             b = dj
     return SigmaComponents(corrected=lag_total - b * b,
-                           holst=lag_total - (cross_total / m) ** 2, b=b)
+                           holst=lag_total - (cross_total / m) ** 2, b=b,
+                           mean_h=float(hv.mean()))
 
 
 def component_hexes(c: SigmaComponents) -> list[str]:
-    return hexes([c.corrected, c.holst, c.b])
+    return hexes([c.corrected, c.holst, c.b, c.mean_h])
+
+
+def full_length_moment(hv, x, mean_h, b, m, r) -> float:
+    """The full-length form: one g array and one np.mean."""
+    base_count = hv.size - (m - 1)
+    g = hv[:base_count] - mean_h - (x[:base_count] - 1.0) * b
+    return float(np.mean(np.abs(g) ** r))
 
 
 def offset_stream(base_count: int, m: int, seed: int):
@@ -174,6 +183,29 @@ class TestComponents:
             hv, w = offset_stream(base_count, m, seed=base_count)
             assert component_hexes(components(hv, w, m)) == component_hexes(
                 looped_components(hv, w, m))
+
+
+class TestProjectionMoment:
+    @pytest.mark.parametrize("r", [2.5, 3.0, 4.0, 7.25])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("base_count", [
+        2, 7, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 23, 3 * BLOCK + 5])
+    def test_equal_to_full_length_mean(self, base_count, m, r):
+        hv, _ = offset_stream(base_count, m, seed=base_count + m)
+        x = np.random.default_rng(base_count).standard_exponential(hv.size + m - 1)
+        mean_h, b = float(hv.mean()), -1.7e3
+        assert float(projection_moment(hv, x, mean_h, b, m, r)).hex() == \
+            float(full_length_moment(hv, x, mean_h, b, m, r)).hex()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_equal_to_full_length_mean_over_many_blocks(self, monkeypatch, m):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
+        for base_count in (128, 129, 1000, 4099, 20_001):
+            hv, w = offset_stream(base_count, m, seed=base_count)
+            comp = components(hv, w, m)
+            got = projection_moment(hv, w, comp.mean_h, comp.b, m, 3.0)
+            assert float(got).hex() == \
+                float(full_length_moment(hv, w, comp.mean_h, comp.b, m, 3.0)).hex()
 
 
 class TestBatching:
