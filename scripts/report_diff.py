@@ -6,9 +6,10 @@ checkout (``DIR/src``) and compares every command's exit code, stdout and
 stderr.  The set covers ``test`` on seeded data files for every variant
 (v, w, q, z), every named kind and m in {1, 2, 3, 5, 9}, as JSON and as
 text, plus a tied file and a file with a bad value; ``simulate`` for every
-variant; ``sigma`` with and without ``--compare-holst``, at 20 000 draws
-(one block of the lag sums) and at 100 003 draws and m = 5 (several
-blocks); and ``meancheck``.
+variant, and once at 4100 replications, more than one block of seed words;
+``sigma`` with and without ``--compare-holst``, at 20 000 draws (one block
+of the lag sums) and at 100 003 draws and m = 5 (several blocks); and
+``meancheck``.
 Prints the number of identical and differing reports, names each differing
 command, and exits 1 if any differs.
 
@@ -59,6 +60,9 @@ def commands(files: dict[str, str]) -> list[list[str]]:
         for kind in KINDS:
             runs.append(["simulate", "--n", "300", "--m", "2", "--statistic", kind,
                          "--reps", "60", "--seed", "7", "--variant", variant])
+    # more replications than one block of seed words (4096)
+    runs.append(["simulate", "--n", "50", "--m", "2", "--statistic", "greenwood",
+                 "--reps", "4100", "--seed", "7"])
     for kind in KINDS:
         for holst in ([], ["--compare-holst"]):
             runs.append(["sigma", "--statistic", kind, "--m", "2", "--draws", "20000",

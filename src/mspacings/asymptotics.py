@@ -390,18 +390,16 @@ def estimate_general_moments(
     # sums[b] holds, per position, the batch-b totals of h, w, h w and
     # h times h at lag d (row 3 + d)
     sums = np.zeros((batches, 3 + m, n))
-    rows = max(1, CHUNK_VALUES // (n + m - 1))
     # one block, allocated once, holds a chunk's draws and its terms (see
     # statistics.ChunkWorkspace); terms[1 + r] holds replication first + r
-    cap = min(rows, replications)
+    cap = min(max(1, CHUNK_VALUES // (n + m - 1)), replications)
     block = np.empty(cap * (n + m - 1) + (cap + 1) * (3 + m) * n)
     ext_all = block[: cap * (n + m - 1)].reshape(cap, n + m - 1)
     terms_all = block[cap * (n + m - 1) :].reshape(cap + 1, 3 + m, n)
-    for first in range(0, replications, rows):
-        last = min(first + rows, replications)
-        ext = SeededStream.rows(seed, first, last - first, n, "exponentials", wrap=m - 1,
-                                out=ext_all[: last - first])
-        terms = terms_all[: last - first + 1]
+    for first, ext in SeededStream.chunks(seed, replications, ext_all, "exponentials",
+                                          wrap=m - 1):
+        last = first + len(ext)
+        terms = terms_all[: len(ext) + 1]
         hv = terms[1:, 0]
         with np.errstate(all="ignore"):
             family.evaluate_all(sliding_window_view(ext, m, axis=1), out=hv)

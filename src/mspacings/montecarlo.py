@@ -1,9 +1,10 @@
 """Seeded null-distribution simulation.
 
 Replications draw uniform samples on independent substreams keyed by the
-replication index, standardize the chosen statistic with its asymptotic
+replication index, standardize the chosen statistic with the variant's null
 moments, and summarize how close the standardized values sit to the standard
-normal.  Replications are evaluated in chunks, one matrix row each, so the
+normal.  Replications are drawn (:meth:`~mspacings.rng.SeededStream.chunks`)
+and evaluated in chunks, one matrix row each, so the
 sort, the spacing arithmetic and the exact sums run over whole chunks; every
 statistic value equals the one-sample evaluation of the same draws, so the
 result does not depend on the chunk boundaries.  Each run allocates one
@@ -87,22 +88,21 @@ def ks_distance_to_normal(z_values) -> float:
     return max(d_plus, d_minus)
 
 
-def _evaluate_chunk(config: McConfig, kind, first: int, count: int,
+def _evaluate_chunk(config: McConfig, kind, first: int, points: np.ndarray,
                     work: ChunkWorkspace) -> np.ndarray:
-    """Statistic values of replications first .. first + count - 1, drawn,
-    sorted and evaluated in the buffers of ``work``.
+    """Statistic values of replications first .. first + len(points) - 1,
+    whose uniforms fill columns 1 .. n - 1 of ``points``, a leading slice of
+    ``work.points``: anchored, sorted and evaluated in the buffers of ``work``.
 
     A chunk that fails is evaluated again row by row from its points, which
     the evaluation leaves intact, so the error names the first failing
     replication and carries the error its one-sample evaluation raises.
     """
-    points = work.points[:count]
-    SeededStream.rows(config.seed, first, count, config.n - 1, out=points[:, 1:])
     anchored_points(points[:, 1:], out=points)
     try:
         return evaluate_rows(points, config.m, kind, config.variant, work)
     except MSpacingsError:
-        for row in range(count):
+        for row in range(len(points)):
             try:
                 evaluate_rows(points[row : row + 1], config.m, kind, config.variant)
             except MSpacingsError as exc:
@@ -127,11 +127,12 @@ def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
 
     start = time.perf_counter() if measure_time else None
     z = np.empty(config.replications)
-    rows = max(1, CHUNK_VALUES // config.n)
-    work = ChunkWorkspace(min(rows, config.replications), config.n, config.m)
-    for first in range(0, config.replications, rows):
-        count = min(rows, config.replications - first)
-        values = _evaluate_chunk(config, kind, first, count, work)
+    rows = min(max(1, CHUNK_VALUES // config.n), config.replications)
+    work = ChunkWorkspace(rows, config.n, config.m)
+    for first, drawn in SeededStream.chunks(config.seed, config.replications,
+                                            work.points[:, 1:]):
+        count = len(drawn)
+        values = _evaluate_chunk(config, kind, first, work.points[:count], work)
         z[first : first + count] = (values - moments.mean) / sd
 
     elapsed = time.perf_counter() - start if measure_time else None

@@ -9,20 +9,23 @@ streams (the mix is a bijection of the counter, so no two ids in [0, 2**64)
 share a key under one seed).
 
 Monte Carlo routines draw replication r from stream (seed, r) and handle
-replications in chunks, one matrix row each (:meth:`SeededStream.rows`), of
-at most ``CHUNK_VALUES`` values per array.
+replications in chunks, one matrix row each (:meth:`SeededStream.chunks`,
+and :meth:`SeededStream.rows` for a single chunk), of at most
+``CHUNK_VALUES`` values per array.
 
 A single stream is seeded by numpy itself: ``PCG64(key)`` runs the key
-through numpy's ``SeedSequence`` and PCG64's seeding step.  Building that
-generator costs about as much as a few thousand draws, so ``rows`` keys a
-chunk's streams in one vectorised pass instead: SplitMix64 on a vector of
-stream ids, ``SeedSequence`` on a (4, rows) array of 32-bit pool words, and
-PCG64's seeding step in Python integers.  It then makes one stream of the
-class and, for each row, sets its generator to the row's (state, increment)
-and its ``stream_id`` to the row's id, and draws the row's uniforms straight
-into the chunk with ``uniforms(width, out=row)``.  Exponential rows invert
-the CDF once, over the whole chunk.  The states equal those of numpy's own
-seeding, so every row equals the single-stream draw bit for bit.
+through numpy's ``SeedSequence`` and PCG64's seeding step.  ``SeedSequence``
+costs about as much as a few thousand draws, so ``chunks`` takes the seed
+words of a run's streams in one vectorised pass per block of at most
+``_KEY_BLOCK`` (4096) replications, whatever the chunk size: SplitMix64 on a
+vector of stream ids, then ``SeedSequence`` on a (4, ids) array of 32-bit
+pool words.  Each row's PCG64 then seeds itself from its four words in
+numpy's C code, through a minimal ``ISeedSequence`` that hands them over.
+One stream of the class draws every row: its generator and ``stream_id``
+become the row's, and ``uniforms(width, out=row)`` writes the row's
+uniforms straight into the chunk.  Exponential rows invert the CDF once
+per chunk.  The words equal numpy's ``SeedSequence(key).generate_state(4,
+np.uint64)``, so every row equals the single-stream draw bit for bit.
 
 ``uniforms(count, out=None)`` is the one draw that a subclass overrides: it
 changes both uniform and exponential draws, of single streams and of rows.
@@ -30,23 +33,25 @@ changes both uniform and exponential draws, of single streams and of rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 # SplitMix64's output mix: xor-shift and multiply twice, then a last xor-shift
 _SPLITMIX64_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _SPLITMIX64_LAST_SHIFT = 31
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 #: Values per array in one chunk of replications (512 KiB of doubles); a
 #: chunk of rows that are ``width`` values wide holds
 #: max(1, CHUNK_VALUES // width) replications.
 CHUNK_VALUES = 1 << 16
+
+#: Stream ids keyed in one vectorised pass, 32 bytes of seed words each.
+_KEY_BLOCK = 4096
 
 _ROW_DRAWS = ("uniforms", "exponentials")
 
@@ -111,8 +116,9 @@ def _stream_keys(seed: int, first: int, count: int) -> np.ndarray:
     return z
 
 
-def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
-    """The (state, increment) of ``np.random.PCG64(key)`` for each key."""
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for each
+    key, one C-contiguous row of four uint64 words per key."""
     # SeedSequence: the key's two 32-bit words, then zeros, fill the pool
     pool = np.zeros((4, keys.size), dtype=np.uint32)
     pool[0] = keys & _U64_LOW32
@@ -128,16 +134,34 @@ def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
     # eight output words cycle through the pool; pairs (low, high) form the
     # four 64-bit seed words
     words = _hashmix(np.tile(pool, (2, 1)), _HASH_B)
-    seeds = words[0::2].astype(np.uint64)
-    seeds |= words[1::2].astype(np.uint64) << _U64_32
-    # PCG64 seeding: inc = 2 initseq + 1, then two steps of the LCG from 0
-    # with initstate added in between
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds.tolist()):
-        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
-        initstate = (state_hi << 64) | state_lo
-        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    seeds = words[1::2].T.astype(np.uint64, order="C")
+    seeds <<= _U64_32
+    seeds |= words[0::2].T
+    return seeds
+
+
+@functools.cache
+def _seed_words_class() -> type:
+    """An ``ISeedSequence`` that hands a bit generator the seed words it
+    holds, so that ``PCG64(_seed_words_class()(words))`` seeds itself from
+    one row of :func:`_seed_words` in numpy's C code.
+
+    It is defined on first use: ``numpy.random`` is imported only when a
+    stream is drawn, not with the package.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        # PCG64 asks for exactly generate_state(4, np.uint64)
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _inverse_cdf(values: np.ndarray) -> np.ndarray:
@@ -190,36 +214,67 @@ class SeededStream:
         "exponentials") from stream (seed, first + r), followed by a copy of
         its first ``wrap`` values (the circular extension of the row).  Each
         row is exactly what a one-replication draw of that stream returns.
-        The rows are written into ``out`` when it is given.
+        The rows are written into ``out`` when it is given.  This is the
+        one-chunk case of :meth:`chunks`.
+        """
+        if out is None:
+            out = np.empty((count, width + wrap))
+        elif out.shape != (count, width + wrap):
+            raise ValueError(f"out has shape {out.shape}, need {(count, width + wrap)}")
+        for _ in cls.chunks(seed, count, out, draw, wrap, first=first):
+            pass
+        return out
 
-        All rows are keyed in one vectorised pass and drawn by one ``cls``
-        instance through ``uniforms(width, out=row)`` (see the module
-        docstring); its ``seed`` and ``stream_id`` are the row's while it
-        draws.
+    @classmethod
+    def chunks(cls, seed: int, count: int, out: np.ndarray, draw: str = "uniforms",
+               wrap: int = 0, first: int = 0):
+        """Draws for replications first .. first + count - 1, in chunks of
+        ``len(out)`` rows written into ``out``.
+
+        Yields (first replication, rows) for each chunk in turn; the rows are
+        a leading slice of ``out`` laid out as in :meth:`rows`, with
+        ``out.shape[1] - wrap`` values of ``draw`` per row, and are
+        overwritten by the next chunk.  The seed and every id are checked
+        here, before anything is keyed or drawn.
+
+        Seed words are taken in one vectorised pass per block of at most
+        ``_KEY_BLOCK`` replications, whatever the chunks, and each row is
+        drawn by one ``cls`` instance through ``uniforms(width, out=row)``
+        (see the module docstring); its ``seed`` and ``stream_id`` are the
+        row's while it draws.
         """
         if draw not in _ROW_DRAWS:
             raise ValueError(f"unknown draw {draw!r}; expected one of {_ROW_DRAWS}")
-        if out is None:
-            out = np.empty((count, width + wrap))
         if count:
+            if not len(out):
+                raise ValueError("out needs at least one row")
             # the first out-of-range id that a loop over the rows would meet
             derive_stream_key(seed, first)
             derive_stream_key(seed, min(first + count - 1, _MASK64 + 1))
-            bit_generator = np.random.PCG64(0)  # every row replaces its state
-            # a stream of the class, without numpy's seeding of a new generator
-            stream = cls.__new__(cls)
-            stream.seed, stream._generator = seed, np.random.Generator(bit_generator)
-            states = _pcg64_states(_stream_keys(seed, first, count))
-            for row, (state, inc) in enumerate(states):
-                bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
+        return cls._drawn_chunks(seed, first, count, out, draw, wrap)
+
+    @classmethod
+    def _drawn_chunks(cls, seed, first, count, out, draw, wrap):
+        """The generator of :meth:`chunks`, with its arguments checked."""
+        width = out.shape[1] - wrap
+        # looked up once per run, called once per row
+        generator, bit_generator, seed_words = (
+            np.random.Generator, np.random.PCG64, _seed_words_class())
+        # a stream of the class, without numpy's seeding of a new generator
+        stream = cls.__new__(cls)
+        stream.seed = seed
+        for start in range(0, count, max(1, len(out))):
+            chunk = out[: min(len(out), count - start)]
+            for row, target in enumerate(chunk[:, :width], start):
+                if row % _KEY_BLOCK == 0:
+                    words = _seed_words(_stream_keys(seed, first + row,
+                                                     min(_KEY_BLOCK, count - row)))
                 stream.stream_id = first + row
-                target = out[row, :width]
+                stream._generator = generator(bit_generator(seed_words(words[row % _KEY_BLOCK])))
                 drawn = stream.uniforms(width, out=target)
                 if drawn is not target:  # an override that returns a new array
                     target[...] = drawn
             if draw == "exponentials":
-                _inverse_cdf(out[:, :width])
-        out[:, width:] = out[:, :wrap]
-        return out
+                _inverse_cdf(chunk[:, :width])
+            chunk[:, width:] = chunk[:, :wrap]
+            yield first + start, chunk

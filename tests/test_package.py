@@ -2,6 +2,9 @@
 statistic kinds apart, and on the names the benchmark needs from it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mspacings
@@ -29,6 +32,22 @@ def test_no_private_name_imported_across_modules():
 def test_guard_sees_a_private_import():
     source = "from .statistics import (\n    evaluate,\n    _scaled_rows,\n)\n"
     assert private_imports(source) == [(1, ".statistics", "_scaled_rows")]
+
+
+def test_import_and_test_command_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random loads only when a stream is drawn: importing it with the
+    # package would add 12-14 ms (2-vCPU container) to every ``test`` call
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{(k * 0.618034) % 1.0!r}\n" for k in range(1, 40)))
+    script = ("import sys\n"
+              "import mspacings\n"
+              "from mspacings import cli\n"
+              "loaded = 'numpy.random' in sys.modules\n"
+              f"code = cli.main(['test', {str(data)!r}, '--statistic', 'greenwood'])\n"
+              "print(loaded, 'numpy.random' in sys.modules, code, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert proc.stderr.split() == ["False", "False", "0"], proc.stderr
 
 
 def name_dispatch(source: str) -> list[tuple[int, str]]:

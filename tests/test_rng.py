@@ -6,16 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mspacings import SeededStream, derive_stream_key
-from mspacings.rng import _pcg64_states, _stream_keys
+from mspacings import (
+    McConfig,
+    SeededStream,
+    TupleFunction,
+    TupleFunctionFamily,
+    asymptotics,
+    derive_stream_key,
+    estimate_general_moments,
+    montecarlo,
+    rng,
+    simulate_null,
+)
+from mspacings.rng import _seed_words, _seed_words_class, _stream_keys
 
 MAX64 = 2**64 - 1
 
 
-def numpy_state(key):
-    """(state, increment) of numpy's own seeding of PCG64 with ``key``."""
-    state = np.random.PCG64(key).state["state"]
-    return state["state"], state["inc"]
+def numpy_words(keys):
+    """numpy's own SeedSequence output for PCG64, one row per key."""
+    return np.array([np.random.SeedSequence(key).generate_state(4, np.uint64)
+                     for key in keys], dtype=np.uint64).reshape(-1, 4)
+
+
+def seed_words_match_numpy(keys):
+    words = _seed_words(np.array(keys, dtype=np.uint64))
+    return (words.dtype == np.uint64 and words.flags.c_contiguous
+            and words.tobytes() == numpy_words(keys).tobytes())
 
 
 class TestStreamKey:
@@ -214,9 +231,15 @@ class TestRows:
 
 
 class TestBatchedKeys:
+    """``_seed_words`` against numpy's SeedSequence, and PCG64 seeded from
+    its words against numpy's seeding of the key."""
+
     @pytest.mark.parametrize("key", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, MAX64 - 1, MAX64])
     def test_edge_keys_match_numpy_seeding(self, key):
-        assert _pcg64_states(np.array([key], dtype=np.uint64)) == [numpy_state(key)]
+        assert seed_words_match_numpy([key])
+        words = _seed_words(np.array([key], dtype=np.uint64))[0]
+        seeded = np.random.PCG64(_seed_words_class()(words))
+        assert seeded.state == np.random.PCG64(key).state
 
     @pytest.mark.parametrize("seed, first", [
         (0, 0), (0, MAX64 - 9), (MAX64, 0), (MAX64, MAX64 - 9), (2**32, 2**32 - 5),
@@ -225,7 +248,7 @@ class TestBatchedKeys:
         keys = _stream_keys(seed, first, 10)
         expected = [derive_stream_key(seed, first + r) for r in range(10)]
         assert keys.dtype == np.uint64 and keys.tolist() == expected
-        assert _pcg64_states(keys) == [numpy_state(key) for key in expected]
+        assert seed_words_match_numpy(expected)
 
     @given(seed=st.integers(0, MAX64), first=st.integers(0, MAX64))
     def test_keyed_states_match_numpy_seeding(self, seed, first):
@@ -233,8 +256,110 @@ class TestBatchedKeys:
         keys = _stream_keys(seed, first, count)
         expected = [derive_stream_key(seed, first + r) for r in range(count)]
         assert keys.tolist() == expected
-        assert _pcg64_states(keys) == [numpy_state(key) for key in expected]
+        assert seed_words_match_numpy(expected)
 
     def test_many_keys_in_one_pass(self):
         keys = _stream_keys(20240611, 0, 2500)
-        assert _pcg64_states(keys) == [numpy_state(key) for key in keys.tolist()]
+        assert seed_words_match_numpy(keys.tolist())
+
+
+KEY_BLOCKS = (1, 3, 4096)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("block", KEY_BLOCKS)
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 7, 20])
+    @pytest.mark.parametrize("draw, wrap", [("uniforms", 0), ("exponentials", 2)])
+    def test_rows_across_key_blocks_equal_single_streams(self, monkeypatch, block,
+                                                         chunk_rows, draw, wrap):
+        monkeypatch.setattr(rng, "_KEY_BLOCK", block)
+        count, width = 17, 6
+        out = np.full((chunk_rows, width + wrap), np.nan)
+        seen = []
+        for first, rows in SeededStream.chunks(2**33 + 1, count, out, draw, wrap=wrap):
+            assert first == len(seen) and np.shares_memory(rows, out)
+            assert len(rows) == min(chunk_rows, count - first)
+            seen.extend(row.copy() for row in rows)
+        assert len(seen) == count
+        for r, row in enumerate(seen):
+            one = getattr(SeededStream(2**33 + 1, r), draw)(width)
+            assert row.tobytes() == np.concatenate([one, one[:wrap]]).tobytes()
+
+    @pytest.mark.parametrize("block", KEY_BLOCKS)
+    def test_rows_over_a_key_block_equal_single_streams(self, monkeypatch, block):
+        monkeypatch.setattr(rng, "_KEY_BLOCK", block)
+        rows = SeededStream.rows(9, 4090, 12, 3, "exponentials")
+        for r in range(12):
+            assert rows[r].tobytes() == SeededStream(9, 4090 + r).exponentials(3).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_ids_at_the_top_of_the_range_cross_a_key_block(self, monkeypatch, block):
+        monkeypatch.setattr(rng, "_KEY_BLOCK", block)
+        rows = SeededStream.rows(MAX64, MAX64 - 4, 5, 6)
+        for r in range(5):
+            assert np.array_equal(rows[r], SeededStream(MAX64, MAX64 - 4 + r).uniforms(6))
+
+    @pytest.mark.parametrize("seed, first, count, named", [
+        (-1, 0, 3, "seed -1 "),
+        (2**64, 0, 1, f"seed {2**64} "),
+        (5, -1, 2, "stream_id -1 "),
+        (5, MAX64 - 1, 3, f"stream_id {2**64} "),
+        (5, 0, 2**64 + 1, f"stream_id {2**64} "),
+    ])
+    def test_ids_outside_64_bits_are_refused_before_keying(self, monkeypatch, seed, first,
+                                                           count, named):
+        def no_keys(*args):
+            raise AssertionError("keyed before the range check")
+
+        monkeypatch.setattr(rng, "_stream_keys", no_keys)
+        with pytest.raises(ValueError, match=named):
+            SeededStream.chunks(seed, count, np.empty((4, 3)), first=first)
+        if count <= 4:
+            with pytest.raises(ValueError, match=named):
+                SeededStream.rows(seed, first, count, 3)
+
+    def test_no_replications_draw_nothing(self):
+        assert SeededStream.rows(1, 0, 0, 4).shape == (0, 4)
+        assert list(SeededStream.chunks(1, 0, np.empty((0, 3)))) == []
+
+    def test_chunks_need_a_row_of_out(self):
+        with pytest.raises(ValueError, match="out needs at least one row"):
+            SeededStream.chunks(1, 2, np.empty((0, 3)))
+
+    def test_rows_refuse_an_out_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"out has shape \(4, 3\), need \(3, 3\)"):
+            SeededStream.rows(1, 0, 3, 3, out=np.empty((4, 3)))
+
+
+def mixed_family(n, m):
+    square = TupleFunction(lambda rows: np.square(rows.sum(axis=1)), arity=m,
+                           vectorized=True, name="square-total")
+    first = TupleFunction(lambda rows: rows[:, 0] * np.log1p(rows[:, -1]), arity=m,
+                          vectorized=True, name="first-log-last")
+    return TupleFunctionFamily(tuple((square, first)[k % 2] for k in range(n)))
+
+
+class TestEnginesOverKeyBlocks:
+    """The replication engines give the same bits at every chunk size and
+    key-block size."""
+
+    CHUNK_VALUES = (1, 30, 97, 1 << 16)
+
+    def test_simulate_null(self, monkeypatch):
+        config = McConfig(n=30, m=2, kind="moran", replications=23, seed=12, variant="w")
+        reference = simulate_null(config)
+        for values in self.CHUNK_VALUES:
+            for block in KEY_BLOCKS:
+                monkeypatch.setattr(montecarlo, "CHUNK_VALUES", values)
+                monkeypatch.setattr(rng, "_KEY_BLOCK", block)
+                assert simulate_null(config) == reference, (values, block)
+
+    def test_estimate_general_moments(self, monkeypatch):
+        family = mixed_family(12, 2)
+        reference = estimate_general_moments(family, 12, 2, 103, 6)
+        for values in self.CHUNK_VALUES:
+            for block in KEY_BLOCKS:
+                monkeypatch.setattr(asymptotics, "CHUNK_VALUES", values)
+                monkeypatch.setattr(rng, "_KEY_BLOCK", block)
+                assert estimate_general_moments(family, 12, 2, 103, 6) == reference, \
+                    (values, block)
