@@ -8,8 +8,8 @@ stderr.  The set covers ``test`` on seeded data files for every variant
 text, plus a tied file and a file with a bad value; ``simulate`` for every
 variant, and once at 4100 replications, more than one block of seed words;
 ``sigma`` with and without ``--compare-holst``, at 20 000 draws (one block
-of the lag sums) and at 100 003 draws and m = 5 (several blocks); and
-``meancheck``.
+of the lag sums), at 100 003 draws and m = 5 (several blocks), and at 100 003
+draws and m = 70 (window totals from cumulative sums); and ``meancheck``.
 Prints the number of identical and differing reports, names each differing
 command, and exits 1 if any differs.
 
@@ -69,6 +69,10 @@ def commands(files: dict[str, str]) -> list[list[str]]:
                          "--seed", "11", *holst])
         runs.append(["sigma", "--statistic", kind, "--m", "5", "--draws", "100003",
                      "--seed", "11", "--compare-holst"])
+        # m above 64: window totals of the stream from cumulative sums
+        for holst in ([], ["--compare-holst"]):
+            runs.append(["sigma", "--statistic", kind, "--m", "70", "--draws", "100003",
+                         "--seed", "11", *holst])
     runs.append(["sigma", "--custom-h", "square", "--m", "3", "--draws", "20000",
                  "--seed", "11", "--compare-holst"])
     for kind in KINDS:

@@ -23,6 +23,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import checked_index
+
 
 #: Batches used for every Monte Carlo standard error in the package.
 DEFAULT_BATCHES = 30
@@ -71,9 +73,15 @@ def window_sums(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndar
     ``sliding_window_view(x, m, axis=-1).sum(axis=-1)`` bit for bit, except
     for a one-dimensional ``x`` with m above ``_WINDOW_SUM_SWITCH``, which
     takes differences of cumulative sums.  The totals are written into
-    ``out`` when it is given; it must not overlap ``x``.
+    ``out`` when it is given; it must not overlap ``x``.  The order must
+    lie in [1, x.shape[-1]].
     """
-    count = x.shape[-1] - m + 1
+    m = checked_index("m", m)
+    length = x.shape[-1]
+    if not 1 <= m <= length:
+        raise ValueError(f"window order m={m} is outside [1, {length}], "
+                         f"the length of x")
+    count = length - m + 1
     if m == 1:
         if out is None:
             return x
@@ -120,8 +128,10 @@ def components(hv: np.ndarray, w: np.ndarray, m: int) -> SigmaComponents:
     equals ``np.sum`` of the full-length product of the centred arrays bit
     for bit (see :func:`_pairwise_sum`).
     """
-    positions = hv.size
-    base_count = positions - (m - 1)
+    m = checked_index("m", m)
+    if m < 1:
+        raise ValueError(f"order m={m} must be at least 1")
+    base_count = hv.size - (m - 1)
     if base_count < 2:
         raise ValueError("too few windows for the requested order")
     mean_h = hv.mean()
@@ -191,16 +201,19 @@ def projection_moment(hv: np.ndarray, x: np.ndarray, mean_h: float, b: float,
     return float(_pairwise_sum(leaf, count) / count)
 
 
-def batched_components(
-    hv: np.ndarray, w: np.ndarray, m: int, batches: int = DEFAULT_BATCHES
-) -> list[SigmaComponents]:
-    """The same assembly on ``batches`` contiguous segments of the stream."""
+def batched_components(hv: np.ndarray, w: np.ndarray, m: int) -> list[SigmaComponents]:
+    """The same assembly on ``DEFAULT_BATCHES`` contiguous segments of the
+    stream, each with at least max(2, 4m) lag positions."""
     base_count = hv.size - (m - 1)
-    size = base_count // batches
-    if size < max(2, 4 * m):
-        raise ValueError("stream too short for batch-means standard errors")
+    needed = DEFAULT_BATCHES * max(2, 4 * m)
+    if base_count < needed:
+        raise ValueError(
+            f"stream too short for batch-means standard errors at order m={m}: "
+            f"{base_count} windows, need at least {needed} "
+            f"({DEFAULT_BATCHES} batches of max(2, 4m))")
+    size = base_count // DEFAULT_BATCHES
     out = []
-    for b in range(batches):
+    for b in range(DEFAULT_BATCHES):
         lo = b * size
         hi = lo + size + (m - 1)
         out.append(components(hv[lo:hi], w[lo:hi], m))

@@ -9,9 +9,8 @@ streams (the mix is a bijection of the counter, so no two ids in [0, 2**64)
 share a key under one seed).
 
 Monte Carlo routines draw replication r from stream (seed, r) and handle
-replications in chunks, one matrix row each (:meth:`SeededStream.chunks`,
-and :meth:`SeededStream.rows` for a single chunk), of at most
-``CHUNK_VALUES`` values per array.
+replications in chunks, one matrix row each (:meth:`SeededStream.chunks`),
+of at most ``CHUNK_VALUES`` values per array.
 
 A single stream is seeded by numpy itself: ``PCG64(key)`` runs the key
 through numpy's ``SeedSequence`` and PCG64's seeding step.  ``SeedSequence``
@@ -205,37 +204,18 @@ class SeededStream:
         return _inverse_cdf(self.uniforms(count))
 
     @classmethod
-    def rows(cls, seed: int, first: int, count: int, width: int,
-             draw: str = "uniforms", wrap: int = 0,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """(count, width + wrap) draws for replications first .. first + count - 1.
-
-        Row r holds ``width`` values of ``draw`` ("uniforms" or
-        "exponentials") from stream (seed, first + r), followed by a copy of
-        its first ``wrap`` values (the circular extension of the row).  Each
-        row is exactly what a one-replication draw of that stream returns.
-        The rows are written into ``out`` when it is given.  This is the
-        one-chunk case of :meth:`chunks`.
-        """
-        if out is None:
-            out = np.empty((count, width + wrap))
-        elif out.shape != (count, width + wrap):
-            raise ValueError(f"out has shape {out.shape}, need {(count, width + wrap)}")
-        for _ in cls.chunks(seed, count, out, draw, wrap, first=first):
-            pass
-        return out
-
-    @classmethod
     def chunks(cls, seed: int, count: int, out: np.ndarray, draw: str = "uniforms",
-               wrap: int = 0, first: int = 0):
-        """Draws for replications first .. first + count - 1, in chunks of
-        ``len(out)`` rows written into ``out``.
+               wrap: int = 0):
+        """Draws for replications 0 .. count - 1, in chunks of ``len(out)``
+        rows written into ``out``.
 
         Yields (first replication, rows) for each chunk in turn; the rows are
-        a leading slice of ``out`` laid out as in :meth:`rows`, with
-        ``out.shape[1] - wrap`` values of ``draw`` per row, and are
-        overwritten by the next chunk.  The seed and every id are checked
-        here, before anything is keyed or drawn.
+        a leading slice of ``out`` and are overwritten by the next chunk.  Row
+        r holds ``out.shape[1] - wrap`` values of ``draw`` ("uniforms" or
+        "exponentials") from stream (seed, r), followed by a copy of its first
+        ``wrap`` values (the circular extension of the row), and is exactly
+        what a one-replication draw of that stream returns.  The seed and the
+        last id are checked here, before anything is keyed or drawn.
 
         Seed words are taken in one vectorised pass per block of at most
         ``_KEY_BLOCK`` replications, whatever the chunks, and each row is
@@ -248,13 +228,12 @@ class SeededStream:
         if count:
             if not len(out):
                 raise ValueError("out needs at least one row")
-            # the first out-of-range id that a loop over the rows would meet
-            derive_stream_key(seed, first)
-            derive_stream_key(seed, min(first + count - 1, _MASK64 + 1))
-        return cls._drawn_chunks(seed, first, count, out, draw, wrap)
+            # the first out-of-range value that a loop over the rows would meet
+            derive_stream_key(seed, min(count - 1, _MASK64 + 1))
+        return cls._drawn_chunks(seed, count, out, draw, wrap)
 
     @classmethod
-    def _drawn_chunks(cls, seed, first, count, out, draw, wrap):
+    def _drawn_chunks(cls, seed, count, out, draw, wrap):
         """The generator of :meth:`chunks`, with its arguments checked."""
         width = out.shape[1] - wrap
         # looked up once per run, called once per row
@@ -267,9 +246,8 @@ class SeededStream:
             chunk = out[: min(len(out), count - start)]
             for row, target in enumerate(chunk[:, :width], start):
                 if row % _KEY_BLOCK == 0:
-                    words = _seed_words(_stream_keys(seed, first + row,
-                                                     min(_KEY_BLOCK, count - row)))
-                stream.stream_id = first + row
+                    words = _seed_words(_stream_keys(seed, row, min(_KEY_BLOCK, count - row)))
+                stream.stream_id = row
                 stream._generator = generator(bit_generator(seed_words(words[row % _KEY_BLOCK])))
                 drawn = stream.uniforms(width, out=target)
                 if drawn is not target:  # an override that returns a new array
@@ -277,4 +255,4 @@ class SeededStream:
             if draw == "exponentials":
                 _inverse_cdf(chunk[:, :width])
             chunk[:, width:] = chunk[:, :wrap]
-            yield first + start, chunk
+            yield start, chunk

@@ -240,7 +240,7 @@ _CERTIFIED_MIN_TOP = math.ldexp(1.0, -900)
 _CERTIFIED_MAX_COUNT = 2**26
 
 
-def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
+def exact_row_sums(matrix) -> np.ndarray:
     """Correctly rounded sum of every row of a 2-D matrix of doubles, equal
     bit for bit to ``math.fsum`` of the row, and raising as it raises.
 
@@ -266,16 +266,10 @@ def exact_row_sums(matrix, scratch: np.ndarray | None = None) -> np.ndarray:
     row whose maximum is too large for ``sigma`` to be finite, or that holds
     a non-finite value, is summed by ``math.fsum`` directly.
 
-    Given ``scratch``, a float64 array of the matrix's shape that does not
-    overlap it, the float64 ``matrix`` is reduced in place and both are
-    overwritten; otherwise the matrix is copied first.
+    The work is done on a copy; ``matrix`` is left as it is.
     """
-    if scratch is None:
-        p = np.array(matrix, dtype=np.float64)
-        q = np.empty_like(p)
-    else:
-        p, q = matrix, scratch
-    return _exact_sums(p, q, _magnitudes(p))
+    p = np.array(matrix, dtype=np.float64)
+    return _exact_sums(p, np.empty_like(p), _magnitudes(p))
 
 
 def _magnitudes(p: np.ndarray) -> np.ndarray:

@@ -181,6 +181,15 @@ class TestExitCodes:
         assert code == 1
         assert "--draws" in err
 
+    def test_sigma_stream_too_short_for_the_order(self, capsys):
+        code, out, err = run_cli(capsys, "sigma", "--statistic", "greenwood",
+                                 "--m", "100", "--draws", "10000", "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: stream too short for batch-means standard errors at order "
+                       "m=100: 10002 windows, need at least 12000 "
+                       "(30 batches of max(2, 4m))\n")
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("0.1\n0.4\n0.8\n"))
         code, out, _ = run_cli(capsys, "test", "-", "--statistic", "greenwood")

@@ -104,6 +104,22 @@ class TestWindowSums:
             expected = x if m == 1 else sliding_window_view(x, m, axis=-1).sum(axis=-1)
             assert hexes(window_sums(x, m)) == hexes(expected)
 
+    @pytest.mark.parametrize("m", [0, -1, 6, 7, 70])
+    def test_order_outside_one_to_length_rejected(self, m):
+        for x in (np.arange(5.0), np.ones((3, 5))):
+            with pytest.raises(ValueError, match=rf"m={m} is outside \[1, 5\]"):
+                window_sums(x, m)
+
+    def test_order_equal_to_length_gives_one_total(self):
+        x = np.arange(5.0)
+        assert window_sums(x, 5).tolist() == [10.0]
+        assert window_sums(np.ones((3, 5)), np.int64(5)).tolist() == [[5.0]] * 3
+
+    @pytest.mark.parametrize("m", [2.0, "2", None])
+    def test_order_must_be_an_integer(self, m):
+        with pytest.raises(TypeError, match="m must be an integer"):
+            window_sums(np.arange(5.0), m)
+
 
 class TestPairwiseSum:
     @pytest.mark.parametrize("block", [128, 136, 1000, BLOCK])
@@ -168,6 +184,13 @@ class TestComponents:
         with pytest.raises(ValueError):
             components(np.ones(3), np.ones(3), 3)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_order_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"order m={m} must be at least 1"):
+            components(np.ones(10), np.ones(10), m)
+        with pytest.raises(ValueError, match=f"order m={m} must be at least 1"):
+            batched_components(np.ones(100), np.ones(100), m)
+
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("base_count", [
         2, 7, 8, 127, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 23, 2 * BLOCK + 25])
@@ -227,10 +250,18 @@ class TestBatching:
         assert [component_hexes(c) for c in got] == [component_hexes(c) for c in expected]
 
     def test_short_stream_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m=1: 59 windows, need at least 120 "):
             batched_components(np.ones(59), np.ones(59), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m=2: 99 windows, need at least 240 "):
             batched_components(np.ones(100), np.ones(100), 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_shortest_stream_accepted(self, m):
+        size = max(2, 4 * m)
+        hv, w = offset_stream(DEFAULT_BATCHES * size, m, seed=m)
+        assert len(batched_components(hv, w, m)) == DEFAULT_BATCHES
+        with pytest.raises(ValueError, match="stream too short"):
+            batched_components(hv[1:], w[1:], m)
 
     def test_constant_batches_have_zero_error(self):
         # 2.5 sums and divides exactly, so the spread is exactly zero

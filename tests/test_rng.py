@@ -135,14 +135,25 @@ class TestSeededStream:
         assert -math.log1p(-(1.0 - math.exp(-1.0))) == pytest.approx(1.0, abs=1e-15)
 
 
+def drawn_rows(cls, seed, count, width, draw="uniforms", wrap=0):
+    """All ``count`` rows of ``cls.chunks``, drawn in one chunk of
+    (count, width + wrap)."""
+    out = np.empty((count, width + wrap))
+    for _ in cls.chunks(seed, count, out, draw, wrap):
+        pass
+    return out
+
+
 class TestRows:
+    """Each row of ``SeededStream.chunks`` against its single stream, and
+    the subclass seam."""
+
     @pytest.mark.parametrize("draw", ["uniforms", "exponentials"])
     @pytest.mark.parametrize("wrap", [0, 1, 4])
-    def test_row_r_is_stream_first_plus_r(self, draw, wrap):
-        rows = SeededStream.rows(21, 7, 5, 9, draw, wrap=wrap)
-        assert rows.shape == (5, 9 + wrap)
+    def test_row_r_is_stream_r(self, draw, wrap):
+        rows = drawn_rows(SeededStream, 21, 5, 9, draw, wrap)
         for r in range(5):
-            one = getattr(SeededStream(21, 7 + r), draw)(9)
+            one = getattr(SeededStream(21, r), draw)(9)
             assert np.array_equal(rows[r], np.concatenate([one, one[:wrap]]))
 
     @pytest.mark.parametrize("draw", ["uniforms", "exponentials"])
@@ -150,34 +161,18 @@ class TestRows:
     @pytest.mark.parametrize("count", [1, 13, 326])
     def test_rows_equal_single_streams(self, draw, wrap, count):
         width = 11
-        rows = SeededStream.rows(2**40 + 3, 1000, count, width, draw, wrap=wrap)
+        rows = drawn_rows(SeededStream, 2**40 + 3, count, width, draw, wrap)
         for r in range(count):
-            one = getattr(SeededStream(2**40 + 3, 1000 + r), draw)(width)
+            one = getattr(SeededStream(2**40 + 3, r), draw)(width)
             assert rows[r].tobytes() == np.concatenate([one, one[:wrap]]).tobytes()
 
     def test_rows_into_out(self):
         out = np.full((6, 12), np.nan)
-        rows = SeededStream.rows(4, 2, 5, 10, "exponentials", wrap=2, out=out[:5])
-        assert np.shares_memory(rows, out)
-        assert np.array_equal(rows, SeededStream.rows(4, 2, 5, 10, "exponentials", wrap=2))
+        expected = drawn_rows(SeededStream, 4, 5, 10, "exponentials", wrap=2)
+        [(first, rows)] = SeededStream.chunks(4, 5, out, "exponentials", wrap=2)
+        assert first == 0 and np.shares_memory(rows, out)
+        assert np.array_equal(rows, expected)
         assert np.isnan(out[5]).all()
-
-    def test_rows_at_the_top_of_the_id_range(self):
-        rows = SeededStream.rows(MAX64, MAX64 - 2, 3, 6)
-        for r in range(3):
-            assert np.array_equal(rows[r], SeededStream(MAX64, MAX64 - 2 + r).uniforms(6))
-
-    @pytest.mark.parametrize("seed, first, count, named", [
-        (-1, 0, 3, "seed -1 "),
-        (2**64, 0, 1, f"seed {2**64} "),
-        (5, -1, 2, "stream_id -1 "),
-        (5, MAX64 - 1, 3, f"stream_id {2**64} "),
-        (5, 2**64 + 7, 2, f"stream_id {2**64 + 7} "),
-    ])
-    def test_rows_reject_ids_outside_64_bits(self, seed, first, count, named):
-        # the error names the first value a loop over single streams meets
-        with pytest.raises(ValueError, match=named):
-            SeededStream.rows(seed, first, count, 4)
 
     def test_rows_are_drawn_by_instances_of_the_class(self):
         seen = []
@@ -187,10 +182,9 @@ class TestRows:
                 seen.append((type(self), self.seed, self.stream_id))
                 return super().uniforms(count, out=out)
 
-        rows = Recorded.rows(8, 30, 4, 5)
-        assert seen == [(Recorded, 8, 30 + r) for r in range(4)]
-        assert np.array_equal(rows, SeededStream.rows(8, 30, 4, 5))
-
+        rows = drawn_rows(Recorded, 8, 4, 5)
+        assert seen == [(Recorded, 8, r) for r in range(4)]
+        assert np.array_equal(rows, drawn_rows(SeededStream, 8, 4, 5))
 
     def test_a_uniforms_override_changes_both_row_draws(self):
         class Halved(SeededStream):
@@ -199,22 +193,23 @@ class TestRows:
                 u *= 0.5
                 return u
 
-        u = SeededStream.rows(3, 10, 4, 7, wrap=2)
-        assert Halved.rows(3, 10, 4, 7, wrap=2).tobytes() == (0.5 * u).tobytes()
+        u = drawn_rows(SeededStream, 3, 4, 7, wrap=2)
+        assert drawn_rows(Halved, 3, 4, 7, wrap=2).tobytes() == (0.5 * u).tobytes()
         expected = -np.log1p(-(0.5 * u))
-        assert Halved.rows(3, 10, 4, 7, "exponentials", wrap=2).tobytes() == expected.tobytes()
-        assert Halved(3, 10).exponentials(7).tobytes() == expected[0, :7].tobytes()
+        assert drawn_rows(Halved, 3, 4, 7, "exponentials", wrap=2).tobytes() == \
+            expected.tobytes()
+        assert Halved(3, 0).exponentials(7).tobytes() == expected[0, :7].tobytes()
 
     def test_an_override_that_returns_a_new_array_fills_the_row(self):
         class Fresh(SeededStream):
             def uniforms(self, count, out=None):
-                return np.full(count, self.stream_id / 100.0)
+                return np.full(count, (10 + self.stream_id) / 100.0)
 
-        rows = Fresh.rows(3, 10, 4, 5, "exponentials", wrap=1)
+        rows = drawn_rows(Fresh, 3, 4, 5, "exponentials", wrap=1)
         for r in range(4):
             assert np.array_equal(rows[r], np.full(6, -math.log1p(-(10 + r) / 100.0)))
 
-    @pytest.mark.parametrize("draw", ["__init__", "exponential", "rows", "uniform", ""])
+    @pytest.mark.parametrize("draw", ["__init__", "exponential", "chunks", "uniform", ""])
     @pytest.mark.parametrize("count", [0, 3])
     def test_rows_reject_any_other_draw(self, draw, count):
         drawn = []
@@ -226,7 +221,7 @@ class TestRows:
 
         out = np.full((count, 4), np.nan)
         with pytest.raises(ValueError, match=f"unknown draw {draw!r}"):
-            Recorded.rows(1, 0, count, 4, draw, out=out)
+            Recorded.chunks(1, count, out, draw)
         assert drawn == [] and np.isnan(out).all()
 
 
@@ -287,48 +282,40 @@ class TestChunks:
 
     @pytest.mark.parametrize("block", KEY_BLOCKS)
     def test_rows_over_a_key_block_equal_single_streams(self, monkeypatch, block):
+        # ids 4090 .. 4101 straddle the default block's edge
         monkeypatch.setattr(rng, "_KEY_BLOCK", block)
-        rows = SeededStream.rows(9, 4090, 12, 3, "exponentials")
-        for r in range(12):
-            assert rows[r].tobytes() == SeededStream(9, 4090 + r).exponentials(3).tobytes()
+        rows = drawn_rows(SeededStream, 9, 4102, 3, "exponentials")
+        for r in (0, 1, *range(4090, 4102)):
+            assert rows[r].tobytes() == SeededStream(9, r).exponentials(3).tobytes()
 
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_ids_at_the_top_of_the_range_cross_a_key_block(self, monkeypatch, block):
-        monkeypatch.setattr(rng, "_KEY_BLOCK", block)
-        rows = SeededStream.rows(MAX64, MAX64 - 4, 5, 6)
-        for r in range(5):
-            assert np.array_equal(rows[r], SeededStream(MAX64, MAX64 - 4 + r).uniforms(6))
-
-    @pytest.mark.parametrize("seed, first, count, named", [
-        (-1, 0, 3, "seed -1 "),
-        (2**64, 0, 1, f"seed {2**64} "),
-        (5, -1, 2, "stream_id -1 "),
-        (5, MAX64 - 1, 3, f"stream_id {2**64} "),
-        (5, 0, 2**64 + 1, f"stream_id {2**64} "),
+    @pytest.mark.parametrize("seed, count, named", [
+        (-1, 3, "seed -1 "),
+        (2**64, 1, f"seed {2**64} "),
+        (-1, 2**64 + 1, "seed -1 "),
+        (5, 2**64 + 1, f"stream_id {2**64} "),
+        (MAX64, 2**64 + 7, f"stream_id {2**64} "),
     ])
-    def test_ids_outside_64_bits_are_refused_before_keying(self, monkeypatch, seed, first,
-                                                           count, named):
+    def test_ids_outside_64_bits_are_refused_before_keying(self, monkeypatch, seed, count,
+                                                           named):
+        # the error names the first value a loop over single streams meets
         def no_keys(*args):
             raise AssertionError("keyed before the range check")
 
         monkeypatch.setattr(rng, "_stream_keys", no_keys)
         with pytest.raises(ValueError, match=named):
-            SeededStream.chunks(seed, count, np.empty((4, 3)), first=first)
-        if count <= 4:
-            with pytest.raises(ValueError, match=named):
-                SeededStream.rows(seed, first, count, 3)
+            SeededStream.chunks(seed, count, np.empty((4, 3)))
+
+    def test_a_last_id_of_max64_is_accepted(self):
+        first, rows = next(SeededStream.chunks(MAX64, 2**64, np.empty((4, 3))))
+        assert first == 0
+        assert rows.tobytes() == drawn_rows(SeededStream, MAX64, 4, 3).tobytes()
 
     def test_no_replications_draw_nothing(self):
-        assert SeededStream.rows(1, 0, 0, 4).shape == (0, 4)
         assert list(SeededStream.chunks(1, 0, np.empty((0, 3)))) == []
 
     def test_chunks_need_a_row_of_out(self):
         with pytest.raises(ValueError, match="out needs at least one row"):
             SeededStream.chunks(1, 2, np.empty((0, 3)))
-
-    def test_rows_refuse_an_out_of_another_shape(self):
-        with pytest.raises(ValueError, match=r"out has shape \(4, 3\), need \(3, 3\)"):
-            SeededStream.rows(1, 0, 3, 3, out=np.empty((4, 3)))
 
 
 def mixed_family(n, m):
