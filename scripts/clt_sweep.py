@@ -3,7 +3,10 @@
 
 For each n in the grid this prints the moment-condition ratio (which must
 shrink like n^{-(r-2)/2} for the CLT to apply) next to the empirical
-mean/variance/KS distance of the standardized statistic under the null.
+mean, variance, KS distance and skewness of the standardized statistic under
+the null.  Each grid point simulates its raw values once (``null_values``)
+and standardizes them with ``null_moments``; mean, variance and KS use the
+formulas of ``simulate_null``'s summary.
 
 Example:
     python3 scripts/clt_sweep.py --statistic greenwood --m 2 \
@@ -13,7 +16,10 @@ Example:
 import argparse
 from dataclasses import dataclass
 
-from mspacings import McConfig, clt_condition_ratio, simulate_null
+import numpy as np
+
+from mspacings import (McConfig, clt_condition_ratio, ks_distance_to_normal, null_moments,
+                       null_values)
 from mspacings.statistics import NAMED_KINDS
 
 
@@ -47,21 +53,31 @@ def parse_args() -> SweepConfig:
                        draws=args.draws, seed=args.seed)
 
 
+def skewness(z: np.ndarray) -> float:
+    """Sample skewness mean((z - mean)^3) / mean((z - mean)^2)^(3/2)."""
+    centred = z - np.mean(z)
+    return float(np.mean(centred**3) / np.mean(centred**2) ** 1.5)
+
+
 def main() -> None:
     cfg = parse_args()
     print(f"statistic={cfg.statistic} m={cfg.m} r={cfg.r} "
           f"reps={cfg.replications} seed={cfg.seed}")
-    header = f"{'n':>8} {'condition':>12} {'mean_z':>9} {'var_z':>8} {'ks':>8}"
+    header = f"{'n':>8} {'condition':>12} {'mean_z':>9} {'var_z':>8} {'ks':>8} {'skew':>8}"
     print(header)
     print("-" * len(header))
     for n in cfg.n_grid:
         ratio = clt_condition_ratio(cfg.statistic, n, cfg.m, cfg.r,
                                     draws=cfg.draws, seed=cfg.seed)
-        summary = simulate_null(McConfig(n=n, m=cfg.m, kind=cfg.statistic,
-                                         replications=cfg.replications,
-                                         seed=cfg.seed))
-        print(f"{n:>8d} {ratio:>12.4g} {summary.mean_z:>9.4f} "
-              f"{summary.variance_z:>8.4f} {summary.ks_distance:>8.4f}")
+        config = McConfig(n=n, m=cfg.m, kind=cfg.statistic,
+                          replications=cfg.replications, seed=cfg.seed)
+        moments = null_moments(cfg.statistic, n, cfg.m, config.variant)
+        z = null_values(config)
+        z -= moments.mean
+        z /= moments.sd()
+        print(f"{n:>8d} {ratio:>12.4g} {float(np.mean(z)):>9.4f} "
+              f"{float(np.var(z, ddof=1)):>8.4f} {ks_distance_to_normal(z):>8.4f} "
+              f"{skewness(z):>8.4f}")
 
 
 if __name__ == "__main__":

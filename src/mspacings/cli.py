@@ -269,7 +269,11 @@ def _cmd_sigma(args: argparse.Namespace) -> dict:
         out.update(holst=holst.value, holst_std_error=holst.std_error,
                    difference=difference.value,
                    difference_std_error=difference.std_error)
-    return _document("sigma", params, out, [])
+    warnings = []
+    if corrected.value < 2.0 * corrected.std_error:
+        warnings.append(f"estimate {corrected.value:.6g} is below twice its standard error "
+                        f"{corrected.std_error:.6g}: too few draws to resolve it")
+    return _document("sigma", params, out, warnings)
 
 
 def _simulated_mean_correction(kind, n: int, m: int, reps: int, seed: int):

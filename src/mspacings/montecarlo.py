@@ -1,10 +1,11 @@
 """Seeded null-distribution simulation.
 
 Replications draw uniform samples on independent substreams keyed by the
-replication index, standardize the chosen statistic with the variant's null
-moments, and summarize how close the standardized values sit to the standard
-normal.  Replications are drawn (:meth:`~mspacings.rng.SeededStream.chunks`)
-and evaluated in chunks, one matrix row each, so the
+replication index and evaluate the chosen statistic (:func:`null_values`);
+:func:`simulate_null` standardizes those values with the variant's null
+moments and summarizes how close they sit to the standard normal.
+Replications are drawn (:meth:`~mspacings.rng.SeededStream.chunks`) and
+evaluated in chunks, one matrix row each, so the
 sort, the spacing arithmetic and the exact sums run over whole chunks; every
 statistic value equals the one-sample evaluation of the same draws, so the
 result does not depend on the chunk boundaries.  Each run allocates one
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticMoments, null_moments
+from .asymptotics import null_moments
 from .errors import MSpacingsError, SimulationAborted, checked_index
 from .rng import CHUNK_VALUES, SeededStream
 from .spacings import anchored_points
@@ -110,30 +111,40 @@ def _evaluate_chunk(config: McConfig, kind, first: int, points: np.ndarray,
         raise
 
 
-def simulate_null(config: McConfig, moments: AsymptoticMoments | None = None,
-                  measure_time: bool = False) -> McSummary:
-    """Replicate the standardized statistic under the uniform null.
+def null_values(config: McConfig) -> np.ndarray:
+    """Raw statistic of every replication under the uniform null.
 
-    Replication r runs on stream (seed, r): n - 1 uniforms become a circular
-    sample, the configured variant is evaluated and standardized with the
-    variant's :func:`~mspacings.asymptotics.null_moments` (or caller-supplied
-    ``moments`` for custom kinds).
-    Statistic errors abort the run with the replication index attached.
+    Entry r is the configured variant evaluated on stream (seed, r), whose
+    n - 1 uniforms become a circular sample.  Any kind works, custom kinds
+    included, since no moments are needed.  Statistic errors abort the run
+    with the replication index attached.
     """
     kind = resolve_kind(config.kind)
-    if moments is None:
-        moments = null_moments(kind, config.n, config.m, config.variant)
-    sd = moments.sd()
-
-    start = time.perf_counter() if measure_time else None
-    z = np.empty(config.replications)
+    values = np.empty(config.replications)
     rows = min(max(1, CHUNK_VALUES // config.n), config.replications)
     work = ChunkWorkspace(rows, config.n, config.m)
     for first, drawn in SeededStream.chunks(config.seed, config.replications,
                                             work.points[:, 1:]):
         count = len(drawn)
-        values = _evaluate_chunk(config, kind, first, work.points[:count], work)
-        z[first : first + count] = (values - moments.mean) / sd
+        values[first : first + count] = _evaluate_chunk(
+            config, kind, first, work.points[:count], work)
+    return values
+
+
+def simulate_null(config: McConfig, measure_time: bool = False) -> McSummary:
+    """Replicate the standardized statistic under the uniform null.
+
+    The :func:`null_values` are standardized with the variant's
+    :func:`~mspacings.asymptotics.null_moments`, which are taken first, so a
+    kind without them fails before any draw.
+    """
+    moments = null_moments(config.kind, config.n, config.m, config.variant)
+    sd = moments.sd()
+
+    start = time.perf_counter() if measure_time else None
+    z = null_values(config)
+    z -= moments.mean
+    z /= sd
 
     elapsed = time.perf_counter() - start if measure_time else None
     return McSummary(

@@ -375,6 +375,28 @@ class TestSigmaVariants:
         assert doc["result"]["difference"] == 0.0
         assert doc["result"]["difference_std_error"] == 0.0
 
+    def test_noise_estimate_warns(self, capsys):
+        # at m = 70 a 100 003-draw stream leaves the estimate negative,
+        # far from the closed form 467 180
+        code, out, _ = run_cli(capsys, "sigma", "--statistic", "greenwood",
+                               "--m", "70", "--draws", "100003", "--seed", "11")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        result = doc["result"]
+        assert result["estimate"] < 0.0
+        assert doc["warnings"] == [
+            f"estimate {result['estimate']:.6g} is below twice its standard error "
+            f"{result['std_error']:.6g}: too few draws to resolve it"]
+
+    def test_resolved_estimate_does_not_warn(self, capsys):
+        code, out, _ = run_cli(capsys, "sigma", "--statistic", "greenwood",
+                               "--m", "2", "--draws", "20000", "--seed", "11")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["estimate"] > 2.0 * doc["result"]["std_error"]
+        assert doc["warnings"] == []
+
 
 class TestSigmaOrder:
     @pytest.mark.parametrize("m", ["0", "-2"])

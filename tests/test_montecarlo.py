@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from mspacings import (
-    AsymptoticMoments,
-    DegenerateVariance,
     DomainViolation,
     McConfig,
     McSummary,
@@ -24,6 +22,8 @@ from mspacings import (
     from_unit_observations,
     ks_distance_to_normal,
     normal_cdf,
+    null_moments,
+    null_values,
     resolve_kind,
     simulate_null,
     statistic_Q,
@@ -32,6 +32,7 @@ from mspacings import (
     statistic_Z,
 )
 from mspacings import montecarlo
+from mspacings.statistics import evaluate
 
 
 class TestKsDistance:
@@ -115,14 +116,13 @@ class TestSimulateNull:
         cfg = McConfig(n=64, m=2, kind="greenwood", replications=20, seed=5)
         assert simulate_null(cfg) == simulate_null(cfg)
 
-    def test_custom_kind_with_supplied_moments_matches_named(self):
-        named = simulate_null(
+    def test_custom_kind_values_equal_named(self):
+        named = null_values(
             McConfig(n=64, m=1, kind="greenwood", replications=20, seed=5))
-        custom = simulate_null(
+        custom = null_values(
             McConfig(n=64, m=1, kind=custom_sum(np.square, name="sq"),
-                     replications=20, seed=5),
-            moments=closed_form_moments("greenwood", 64, 1))
-        assert named == custom
+                     replications=20, seed=5))
+        assert custom.tobytes() == named.tobytes()
 
     def test_z_variant_matches_v_at_order_one(self):
         v = simulate_null(McConfig(n=64, m=1, kind="greenwood",
@@ -140,7 +140,8 @@ class TestSimulateNull:
             assert out.min_z <= out.mean_z <= out.max_z
             assert math.isfinite(out.ks_distance)
 
-    def test_custom_kind_requires_moments(self):
+    def test_custom_kind_requires_moments(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "null_values", None)  # refused before any draw
         cfg = McConfig(n=20, m=1, kind=custom_sum(np.square), replications=5, seed=0)
         with pytest.raises(UnsupportedKind):
             simulate_null(cfg)
@@ -151,33 +152,11 @@ class TestSimulateNull:
         with pytest.raises(UnsupportedKind):
             simulate_null(cfg)
 
-    @pytest.mark.parametrize("mean, variance, error", [
-        (400.0, math.inf, DegenerateVariance),
-        (400.0, math.nan, DegenerateVariance),
-        (math.nan, 400.0, ValueError),
-        (math.inf, 400.0, ValueError),
-    ])
-    def test_non_finite_moments_rejected(self, mean, variance, error):
-        cfg = McConfig(n=20, m=1, kind="greenwood", replications=5, seed=0)
-        moments = AsymptoticMoments(mean=mean, variance=variance,
-                                    per_term_mean=0.0, per_term_variance=0.0)
-        with pytest.raises(error):
-            simulate_null(cfg, moments=moments)
-
-    def test_zero_variance_rejected(self):
-        cfg = McConfig(n=20, m=1, kind="greenwood", replications=5, seed=0)
-        flat = AsymptoticMoments(mean=40.0, variance=0.0,
-                                 per_term_mean=2.0, per_term_variance=0.0)
-        with pytest.raises(DegenerateVariance):
-            simulate_null(cfg, moments=flat)
-
     def test_abort_carries_replication_and_cause(self):
         bad = custom_sum(lambda t: np.log(t - 50.0), name="shifted-log")
         cfg = McConfig(n=20, m=1, kind=bad, replications=5, seed=0)
-        ok = AsymptoticMoments(mean=0.0, variance=1.0,
-                               per_term_mean=0.0, per_term_variance=1.0)
         with pytest.raises(SimulationAborted) as err:
-            simulate_null(cfg, moments=ok)
+            null_values(cfg)
         assert err.value.replication == 0
         assert isinstance(err.value.cause, DomainViolation)
 
@@ -215,6 +194,11 @@ def _looped_summary(config, stream=SeededStream):
         sample = from_unit_observations(stream(config.seed, rep).uniforms(config.n - 1))
         value = _public_statistic(sample, config.m, config.kind, config.variant).value
         z[rep] = (value - moments.mean) / math.sqrt(moments.variance)
+    return _summary(config, z)
+
+
+def _summary(config, z):
+    """The McSummary of standardized values ``z``, computed directly."""
     return McSummary(replications=config.replications, mean_z=float(np.mean(z)),
                      variance_z=float(np.var(z, ddof=1)), ks_distance=ks_distance_to_normal(z),
                      min_z=float(np.min(z)), max_z=float(np.max(z)), seed=config.seed)
@@ -265,13 +249,13 @@ class TestChunkedEngine:
                 return super().uniforms(count, out=out) if fixed is None else fixed(count)
         return Streams
 
-    def _abort(self, monkeypatch, config, overrides, moments=None):
+    def _abort(self, monkeypatch, config, overrides):
         """Run the engine with overridden draws; check its abort against the
         first error of the one-sample loop, and return it."""
         stream = self._streams_with(overrides)
         monkeypatch.setattr(montecarlo, "SeededStream", stream)
         with pytest.raises(SimulationAborted) as err:
-            simulate_null(config, moments=moments)
+            null_values(config)
         expected = None
         for rep in range(config.replications):
             sample = from_unit_observations(stream(config.seed, rep).uniforms(config.n - 1))
@@ -310,13 +294,38 @@ class TestChunkedEngine:
         late = 3 * self.ROWS + 1
         # finite everywhere except on a gap wider than a quarter circle
         bad = custom_sum(lambda x: np.log(self.N / 4.0 - x), name="gap-log")
-        ok = AsymptoticMoments(mean=0.0, variance=1.0, per_term_mean=0.0, per_term_variance=1.0)
         config = McConfig(n=self.N, m=2, kind=bad, replications=4 * self.ROWS + 5,
                           seed=9, variant=variant)
         aborted = self._abort(monkeypatch, config,
-                              {late: lambda c: np.linspace(0.0, 0.6, c, endpoint=False)},
-                              moments=ok)
+                              {late: lambda c: np.linspace(0.0, 0.6, c, endpoint=False)})
         assert isinstance(aborted.cause, DomainViolation)
+
+
+class TestNullValues:
+    """The raw-statistic seam under simulate_null."""
+    N, M, REPS, SEED = 300, 3, 23, 17
+
+    @pytest.mark.parametrize("rows", [1, 7, None])  # None: the default chunk
+    @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
+    @pytest.mark.parametrize("variant", ["v", "w", "q", "z"])
+    def test_equals_loop_of_one_sample_evaluate(self, monkeypatch, variant, kind, rows):
+        if rows is not None:
+            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", rows * self.N)
+        config = McConfig(n=self.N, m=self.M, kind=kind, replications=self.REPS,
+                          seed=self.SEED, variant=variant)
+        expected = []
+        for rep in range(self.REPS):
+            sample = from_unit_observations(SeededStream(self.SEED, rep).uniforms(self.N - 1))
+            expected.append(evaluate(sample, self.M, kind, variant).value.hex())
+        assert [value.hex() for value in null_values(config).tolist()] == expected
+
+    @pytest.mark.parametrize("variant", ["v", "w", "q", "z"])
+    def test_simulate_null_summarizes_the_standardized_values(self, variant):
+        config = McConfig(n=self.N, m=self.M, kind="moran", replications=self.REPS,
+                          seed=self.SEED, variant=variant)
+        moments = null_moments(config.kind, config.n, config.m, variant)
+        z = (null_values(config) - moments.mean) / moments.sd()
+        assert simulate_null(config) == _summary(config, z)
 
 
 class TestEstimateSigmaM:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mspacings import (
-    AsymptoticMoments,
     DomainViolation,
     McConfig,
     SeededStream,
@@ -17,7 +16,7 @@ from mspacings import (
     UnsupportedKind,
     custom_sum,
     from_unit_observations,
-    simulate_null,
+    null_values,
 )
 from mspacings import cli, montecarlo
 from mspacings.statistics import evaluate
@@ -73,16 +72,15 @@ def first_failure(kind, variant, stream):
 
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_simulate_null_names_the_first_failing_replication(monkeypatch, bad, variant):
+def test_null_values_names_the_first_failing_replication(monkeypatch, bad, variant):
     monkeypatch.setattr(montecarlo, "CHUNK_VALUES", ROWS * N)
     kind = spike(bad, CUT)
     rep, text = first_failure(kind, variant,
                               lambda rep: SeededStream(SEED, rep).uniforms(N - 1))
     assert rep >= ROWS
     config = McConfig(n=N, m=M, kind=kind, replications=REPS, seed=SEED, variant=variant)
-    ok = AsymptoticMoments(mean=0.0, variance=1.0, per_term_mean=0.0, per_term_variance=1.0)
     with pytest.raises(SimulationAborted) as err:
-        simulate_null(config, moments=ok)
+        null_values(config)
     assert err.value.replication == rep
     assert isinstance(err.value.cause, DomainViolation)
     assert str(err.value) == f"replication {rep} aborted: {text}"
