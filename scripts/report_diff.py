@@ -9,7 +9,8 @@ text, plus a tied file and a file with a bad value; ``simulate`` for every
 variant, and once at 4100 replications, more than one block of seed words;
 ``sigma`` with and without ``--compare-holst``, at 20 000 draws (one block
 of the lag sums), at 100 003 draws and m = 5 (several blocks), and at 100 003
-draws and m = 70 (window totals from cumulative sums); and ``meancheck``.
+draws and m = 8 and m = 70 (window totals from ``sliding_window_view`` sums
+and from cumulative sums); and ``meancheck``.
 Prints the number of identical and differing reports, names each differing
 command, and exits 1 if any differs.
 
@@ -69,10 +70,12 @@ def commands(files: dict[str, str]) -> list[list[str]]:
                          "--seed", "11", *holst])
         runs.append(["sigma", "--statistic", kind, "--m", "5", "--draws", "100003",
                      "--seed", "11", "--compare-holst"])
-        # m above 64: window totals of the stream from cumulative sums
-        for holst in ([], ["--compare-holst"]):
-            runs.append(["sigma", "--statistic", kind, "--m", "70", "--draws", "100003",
-                         "--seed", "11", *holst])
+        # m = 8: window totals from sliding_window_view sums; m above 64:
+        # from cumulative sums
+        for m in ("8", "70"):
+            for holst in ([], ["--compare-holst"]):
+                runs.append(["sigma", "--statistic", kind, "--m", m, "--draws", "100003",
+                             "--seed", "11", *holst])
     runs.append(["sigma", "--custom-h", "square", "--m", "3", "--draws", "20000",
                  "--seed", "11", "--compare-holst"])
     for kind in KINDS:

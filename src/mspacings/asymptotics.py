@@ -6,6 +6,14 @@ The sampling model throughout is the exponential representation of uniform
 spacings: scaled spacings behave like iid standard exponentials x_k (extended
 circularly, x_{n+j} = x_j), and window totals |x_k^m| = x_k + ... + x_{k+m-1}
 stand in for the scaled overlapping m-spacings.
+
+The stationary-stream estimators draw one stream and make one blocked pass
+over it (``lagcov.window_pass``), keeping two stream-length arrays: the
+statistic values, and the window totals written over the draws
+(:func:`estimate_sigma_m`, :func:`holst_comparison`) or the draws themselves
+(:func:`clt_condition_ratio`, which needs them for its moment).  Their
+results equal those of :func:`stream_window_values` followed by
+``lagcov.components`` and ``lagcov.batched_components`` bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +36,10 @@ from .lagcov import (
     MIN_DRAWS,
     Estimate,
     batch_std_error,
-    batched_components,
-    components,
+    condition_components,
     projection_moment,
+    stream_components,
+    window_pass,
     window_sums,
 )
 from .rng import CHUNK_VALUES, SeededStream
@@ -238,31 +247,66 @@ def _closed_forms(kind, m, n=None):
     return _CLOSED_FORMS[kind.name], n, m
 
 
-def _window_values(h, m: int, stream: SeededStream, shape: tuple[int, ...]):
-    """Exponentials of ``shape`` drawn from ``stream``, with the totals w of
-    every m consecutive draws along the last axis and h on every such window.
+def _values(h, m: int):
+    """A function (x, w) -> ``h`` on the order-m windows of the draws x
+    (along the last axis) whose totals are w, as a flat float64 array.
 
     ``h`` is a StatisticKind (or its name), applied to the totals, or a
-    TupleFunction of arity m, applied to the windows.  Returns (x, hv, w),
-    with hv and w flat.
+    TupleFunction of arity m, applied to the windows; both are checked here.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    if not isinstance(h, TupleFunction):
-        h = resolve_kind(h)
-    elif h.arity != m:
-        raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
+    if isinstance(h, TupleFunction):
+        if h.arity != m:
+            raise ValueError(f"tuple function has arity {h.arity}, expected {m}")
+
+        def values(x, w):
+            with np.errstate(all="ignore"):
+                return h.evaluate(sliding_window_view(x, m, axis=-1).reshape(-1, m))
+    else:
+        kind = resolve_kind(h)
+
+        def values(x, w):
+            with np.errstate(all="ignore"):
+                return np.asarray(kind.sum_fn(w), dtype=np.float64)
+    return values
+
+
+def _window_values(h, m: int, stream: SeededStream, shape: tuple[int, ...]):
+    """Exponentials of ``shape`` drawn from ``stream``, with the totals w of
+    every m consecutive draws along the last axis and h on every such window
+    (see :func:`_values`).  Returns (x, hv, w), with hv and w flat.
+    """
+    values = _values(h, m)
     x = stream.exponentials(math.prod(shape)).reshape(shape)
     w = window_sums(x, m).reshape(-1)
-    with np.errstate(all="ignore"):
-        if isinstance(h, TupleFunction):
-            hv = h.evaluate(sliding_window_view(x, m, axis=-1).reshape(-1, m))
-        else:
-            hv = np.asarray(h.sum_fn(w), dtype=np.float64)
+    hv = values(x, w)
     if not np.isfinite(hv).all():
         k = int(np.flatnonzero(~np.isfinite(hv))[0])
         raise NonFiniteSample(f"statistic value at window {k} is not finite")
     return x, hv, w
+
+
+def _stream_pass(h, m: int, draws: int, seed: int, totals_over_draws: bool):
+    """The stream of :func:`stream_window_values` through
+    ``lagcov.window_pass``: returns (x, hv, mean_h, mean_w), where with
+    ``totals_over_draws`` the first ``hv.size`` entries of x hold the
+    window totals."""
+    values = _values(h, m)
+    x = SeededStream(seed, 0).exponentials(draws + 2 * m)
+    hv = np.empty(x.size - m + 1)
+    mean_h, mean_w = window_pass(x, m, values, hv, totals_over_draws)
+    return x, hv, mean_h, mean_w
+
+
+def _sigma_components(h, m: int, draws: int, seed: int, holst: bool):
+    """Full-stream and batch components of the per-window variance on stream
+    (seed, 0); the Holst form only when ``holst`` is true."""
+    m, draws, seed = _indices(m=m, draws=draws, seed=seed)
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
+    w, hv, mean_h, mean_w = _stream_pass(h, m, draws, seed, totals_over_draws=True)
+    return stream_components(hv, w[: hv.size], m, mean_h, mean_w, holst)
 
 
 def stream_window_values(h, m: int, draws: int, seed: int, stream_id: int = 0):
@@ -318,12 +362,7 @@ def holst_comparison(h, m: int, draws: int, seed: int) -> tuple[Estimate, Estima
     Returns (holst, corrected, holst - corrected), each with a batch-means
     standard error; see :func:`holst_vs_corrected`.
     """
-    m, draws, seed = _indices(m=m, draws=draws, seed=seed)
-    if draws < MIN_DRAWS:
-        raise ValueError(f"draws must be >= {MIN_DRAWS}")
-    _, hv, w = stream_window_values(h, m, draws, seed)
-    full = components(hv, w, m)
-    batch = batched_components(hv, w, m)
+    full, batch = _sigma_components(h, m, draws, seed, holst=True)
     holst = Estimate(full.holst, batch_std_error([c.holst for c in batch]))
     corrected = Estimate(full.corrected, batch_std_error([c.corrected for c in batch]))
     difference = Estimate(full.holst - full.corrected,
@@ -350,9 +389,12 @@ def estimate_sigma_m(h, m: int, window_draws: int, seed: int) -> Estimate:
     lag covariances for j in [-(m-1), m-1] share one accumulator per |j|, and
     the assembled value subtracts the squared covariance with the window
     total.  The standard error comes from contiguous batch means.  This is
-    the corrected assembly of :func:`holst_comparison`.
+    the corrected assembly of :func:`holst_comparison`, bit for bit, without
+    the cross-lag sums that only the Holst form needs.
     """
-    return holst_comparison(h, m, checked_index("window_draws", window_draws), seed)[1]
+    full, batch = _sigma_components(h, m, checked_index("window_draws", window_draws), seed,
+                                     holst=False)
+    return Estimate(full.corrected, batch_std_error([c.corrected for c in batch]))
 
 
 def estimate_general_moments(
@@ -463,8 +505,8 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
         raise ValueError(f"order must be >= 1, got {m}")
     if n <= m:
         raise ValueError(f"need n > m, got n={n}, m={m}")
-    x, hv, w = stream_window_values(h, m, draws, seed)
-    comp = components(hv, w, m)
+    x, hv, mean_h, mean_w = _stream_pass(h, m, draws, seed, totals_over_draws=False)
+    comp = condition_components(hv, x, m, mean_h, mean_w)
     moment = projection_moment(hv, x, comp.mean_h, comp.b, m, r)
     if moment == 0.0:
         return 0.0

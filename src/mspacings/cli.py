@@ -35,6 +35,7 @@ import numpy as np
 
 from .asymptotics import (
     closed_form_moments,
+    estimate_sigma_m,
     exact_mean_correction,
     holst_comparison,
     mean_correction,
@@ -259,7 +260,10 @@ def _cmd_sigma(args: argparse.Namespace) -> dict:
     kind, label, closed = _sigma_target(args)
     params = {"statistic": label, "m": args.m, "draws": args.draws,
               "seed": seed, "compare_holst": bool(args.compare_holst)}
-    holst, corrected, difference = holst_comparison(kind, args.m, args.draws, seed)
+    if args.compare_holst:
+        holst, corrected, difference = holst_comparison(kind, args.m, args.draws, seed)
+    else:
+        corrected = estimate_sigma_m(kind, args.m, args.draws, seed)
     out = {
         "estimate": corrected.value,
         "std_error": corrected.std_error,

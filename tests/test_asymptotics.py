@@ -45,7 +45,7 @@ from mspacings import (
     stream_window_values,
     window_sums,
 )
-from mspacings import asymptotics
+from mspacings import asymptotics, lagcov
 
 PI2 = math.pi * math.pi
 
@@ -494,6 +494,95 @@ def test_stream_estimators_hold_at_most_three_and_a_half_streams(kind, m):
         finally:
             tracemalloc.stop()
         assert peak <= limit, f"{name}: traced peak {peak / (limit / 3.5):.2f} stream-lengths"
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
+def test_stream_estimators_hold_at_most_two_and_a_half_streams(kind, m):
+    # a stream estimator keeps its summands and one other stream-length
+    # array: the window totals written over the draws, or for the CLT ratio
+    # the draws; every other buffer is a block
+    draws = 1_000_000
+    limit = 2.5 * 8 * (draws + 2 * m)
+    calls = {
+        "clt_condition_ratio": lambda: clt_condition_ratio(kind, 5000, m, 3.0, draws, 1),
+        "estimate_sigma_m": lambda: estimate_sigma_m(kind, m, draws, 1),
+        "holst_vs_corrected": lambda: holst_vs_corrected(kind, m, draws, 1),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"{name}: traced peak {peak / (limit / 2.5):.2f} stream-lengths"
+
+
+def _pipeline_estimates(h, m, draws, seed, r):
+    """The stream estimators assembled from ``stream_window_values`` and the
+    public lag functions on its full-length arrays: (sigma, holst, corrected,
+    difference, clt ratio at n = 5000 and moment order r)."""
+    x, hv, w = stream_window_values(h, m, draws, seed)
+    full = lagcov.components(hv, w, m)
+    batch = lagcov.batched_components(hv, w, m)
+    holst = Estimate(full.holst, batch_std_error([c.holst for c in batch]))
+    corrected = Estimate(full.corrected, batch_std_error([c.corrected for c in batch]))
+    difference = Estimate(full.holst - full.corrected,
+                          batch_std_error([c.holst - c.corrected for c in batch]))
+    moment = lagcov.projection_moment(hv, x, full.mean_h, full.b, m, r)
+    n = 5000
+    ratio = (m ** (r - 1.0)) * moment / (n ** ((r - 2.0) / 2.0) * full.corrected ** (r / 2.0))
+    return corrected, holst, corrected, difference, ratio
+
+
+def _estimate_hexes(values) -> list[str]:
+    out = []
+    for v in values:
+        out += [v.value.hex(), v.std_error.hex()] if isinstance(v, Estimate) else [v.hex()]
+    return out
+
+
+def _ends(m):
+    return TupleFunction(lambda rows: rows[:, 0] * rows[:, -1] + np.sqrt(rows.max(axis=1)),
+                         arity=m, vectorized=True, name="ends")
+
+
+class TestStreamEstimatorsEqualTheFullLengthPipeline:
+    # the blocked front pass and the lag sums each estimator takes give the
+    # same bits as the full-length arrays through the public lag functions,
+    # for a custom kind and a tuple function, on every window-total path
+    # (view of the draws, shifted adds, sliding_window_view sums, cumulative
+    # sums), in one block and over many
+    @pytest.mark.parametrize("block", [1024, None])
+    @pytest.mark.parametrize("m", [1, 3, 8, 70])
+    @pytest.mark.parametrize("h", ["custom", "tuple"])
+    def test_float_hex_equal(self, monkeypatch, h, m, block):
+        if block is not None:
+            monkeypatch.setattr(lagcov, "_LAG_BLOCK", block)
+        fn = (custom_sum(lambda t: np.sqrt(t) * np.sin(t), name="sqrt-sin") if h == "custom"
+              else _ends(m))
+        draws, seed, r = 10_007, 29, 2.75
+        got = (estimate_sigma_m(fn, m, draws, seed),
+               *holst_comparison(fn, m, draws, seed),
+               clt_condition_ratio(fn, 5000, m, r, draws, seed))
+        assert _estimate_hexes(got) == _estimate_hexes(_pipeline_estimates(fn, m, draws, seed, r))
+
+    @pytest.mark.parametrize("m", [1, 3, 70])
+    def test_non_finite_value_in_a_later_block_names_its_window(self, monkeypatch, m):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
+        # not finite above the largest of the first 300 window totals
+        cap = stream_window_values("greenwood", m, 20_000, 3)[2][:300].max()
+        capped = custom_sum(lambda t: np.where(t > cap, np.nan, t), name="capped")
+        with pytest.raises(NonFiniteSample) as expected:
+            stream_window_values(capped, m, 20_000, 3)
+        window = int(re.search(r"window (\d+) ", str(expected.value)).group(1))
+        assert window > 300
+        for call in (lambda: estimate_sigma_m(capped, m, 20_000, 3),
+                     lambda: holst_comparison(capped, m, 20_000, 3),
+                     lambda: clt_condition_ratio(capped, 5000, m, 3.0, 20_000, 3)):
+            with pytest.raises(NonFiniteSample, match=f"^{re.escape(str(expected.value))}$"):
+                call()
 
 
 class TestEstimateGeneralMoments:

@@ -375,6 +375,22 @@ class TestSigmaVariants:
         assert doc["result"]["difference"] == 0.0
         assert doc["result"]["difference_std_error"] == 0.0
 
+    def test_plain_sigma_takes_the_corrected_only_path(self, capsys, monkeypatch):
+        # without --compare-holst the cross lags that only the Holst form
+        # needs are not summed; the estimate is the same either way
+        args = ("sigma", "--statistic", "moran", "--m", "3", "--draws", "20000", "--seed", "5")
+        _, compared, _ = run_cli(capsys, *args, "--compare-holst")
+
+        def refuse(*args):
+            raise AssertionError("sigma without --compare-holst ran holst_comparison")
+
+        monkeypatch.setattr(cli, "holst_comparison", refuse)
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        plain, compared = json.loads(plain)["result"], json.loads(compared)["result"]
+        assert set(plain) == {"estimate", "std_error", "closed_form"}
+        assert plain == {key: compared[key] for key in plain}
+
     def test_noise_estimate_warns(self, capsys):
         # at m = 70 a 100 003-draw stream leaves the estimate negative,
         # far from the closed form 467 180

@@ -191,6 +191,18 @@ class TestComponents:
         with pytest.raises(ValueError, match=f"order m={m} must be at least 1"):
             batched_components(np.ones(100), np.ones(100), m)
 
+    @pytest.mark.parametrize("w_size", [1200, 1001, 999, 900])
+    def test_lengths_must_match(self, w_size):
+        # a longer w used to change mean_w and every result; a shorter one
+        # failed inside numpy
+        rng = np.random.default_rng(8)
+        hv, w = rng.standard_exponential(1000), rng.standard_exponential(w_size)
+        message = f"hv has 1000 entries and w {w_size}: values and totals must align"
+        with pytest.raises(ValueError, match=message):
+            components(hv, w, 2)
+        with pytest.raises(ValueError, match=message):
+            batched_components(hv, w, 2)
+
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("base_count", [
         2, 7, 8, 127, 129, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 23, 2 * BLOCK + 25])
@@ -271,6 +283,51 @@ class TestBatching:
         tight = batch_std_error([1.0, 1.01, 0.99, 1.0])
         loose = batch_std_error([1.0, 2.0, 0.0, 1.0])
         assert tight < loose
+
+
+def square_values(x, w):
+    return np.square(w)
+
+
+class TestWindowPass:
+    # the blocked front pass gives window_sums' totals, the values and the
+    # numpy means bit for bit on every window-total path, and the lag sums
+    # that the stream estimators take equal those of components
+    @pytest.mark.parametrize("block", [128, None])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 64, 65, 70])
+    def test_equal_to_full_length_arrays(self, monkeypatch, m, block):
+        if block is not None:
+            monkeypatch.setattr(lagcov, "_LAG_BLOCK", block)
+        x = np.random.default_rng(m).standard_exponential(20_003) * 1e3
+        w = window_sums(x, m)
+        hv = np.empty(w.size)
+        mean_h, mean_w = lagcov.window_pass(x.copy(), m, square_values, hv, False)
+        assert hexes(hv) == hexes(np.square(w))
+        assert hexes([mean_h, mean_w]) == hexes([np.square(w).mean(), w.mean()])
+        over = x.copy()
+        lagcov.window_pass(over, m, square_values, np.empty(w.size), True)
+        assert hexes(over[: w.size]) == hexes(w)
+        assert hexes(over[w.size :]) == hexes(x[w.size :])
+
+        full = components(hv, w, m)
+        batch = batched_components(hv, w, m)
+        cross, cross_batch = lagcov.stream_components(hv, w, m, mean_h, mean_w, True)
+        assert component_hexes(cross) == component_hexes(full)
+        assert [component_hexes(c) for c in cross_batch] == [component_hexes(c) for c in batch]
+        plain, plain_batch = lagcov.stream_components(hv, w, m, mean_h, mean_w, False)
+        condition = lagcov.condition_components(hv, x, m, mean_h, mean_w)
+        for c, expected in [(plain, full), (condition, full), *zip(plain_batch, batch)]:
+            assert math.isnan(c.holst)
+            assert hexes([c.corrected, c.b, c.mean_h]) == \
+                hexes([expected.corrected, expected.b, expected.mean_h])
+
+    def test_non_finite_value_names_the_first_window(self, monkeypatch):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
+        x = np.ones(1000)
+        x[[700, 900]] = -1.0
+        with pytest.raises(NonFiniteSample, match="^statistic value at window 698 is not finite$"):
+            lagcov.window_pass(x, 3, lambda x, w: np.where(w > 1.5, w, np.nan), np.empty(998),
+                               False)
 
 
 class TestStreamWindowValues:

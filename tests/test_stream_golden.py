@@ -5,8 +5,10 @@
 return for each named kind at m in {1, 2, 3, 5, 7} on 20 000 draws from one
 fixed seed.  There the lag sums and the CLT moment cover 20 002 positions,
 one block of the pairwise tree, so the file also pins each kind at
-m in {1, 2, 5} on 100 003 draws: 100 005 positions, several blocks and no
-multiple of 8, with the CLT ratio at moment orders 3, 2.5 and 4.  To print
+m in {1, 2, 5, 8, 70} on 100 003 draws: about 100 000 positions, several
+blocks and no multiple of 8, with the CLT ratio at moment orders 3, 2.5 and
+4.  Order 8 takes the window totals from ``sliding_window_view`` sums and
+order 70 from differences of cumulative sums.  To print
 the table for the checked-out code, run
 ``PYTHONPATH=src python tests/test_stream_golden.py``; replace the file only
 when a change to the stream results is intended.
@@ -24,7 +26,7 @@ KINDS = ("greenwood", "moran", "entropy")
 ORDERS = (1, 2, 3, 5, 7)
 DRAWS = 20_000
 SEED = 20_240_611
-LONG_ORDERS = (1, 2, 5)
+LONG_ORDERS = (1, 2, 5, 8, 70)
 LONG_DRAWS = 100_003
 LONG_RATIO_ORDERS = (3.0, 2.5, 4.0)
 
