@@ -12,7 +12,9 @@ of the lag sums), at 100 003 draws and m = 5 (several blocks), and at 100 003
 draws and m = 8 and m = 70 (window totals from ``sliding_window_view`` sums
 and from cumulative sums); and ``meancheck``.
 Prints the number of identical and differing reports, names each differing
-command, and exits 1 if any differs.
+command with the largest absolute and relative difference over its numeric
+report fields and the names of its other differing fields, and exits 1 if
+any differs.
 
 Example:
     python3 scripts/report_diff.py --parent ../parent --change .
@@ -109,6 +111,73 @@ def reports_of(checkout: Path, runs: list[list[str]]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def fields(result: dict) -> dict:
+    """Every field of one command's result by name: the exit code, stderr,
+    and each leaf of the report, named as ``result.z`` or ``warnings[0]`` in
+    either format."""
+    out = {"code": result["code"], "stderr": result["stderr"]}
+    try:
+        report = json.loads(result["stdout"])
+    except ValueError:
+        section, warned = "", 0
+        for line in result["stdout"].splitlines():
+            if line.startswith("  - "):
+                out[f"{section}[{warned}]"] = line[4:]
+                warned += 1
+            elif line.startswith("  "):
+                key, _, value = line[2:].partition(": ")
+                out[f"{section}.{key}"] = value
+            else:
+                section, _, value = line.partition(": ")
+                section = section.rstrip(":")
+                if value:
+                    out[section] = value
+        return out
+
+    def leaves(value, name):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                leaves(item, f"{name}.{key}" if name else key)
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                leaves(item, f"{name}[{index}]")
+        else:
+            out[name] = value
+    leaves(report, "")
+    return out
+
+
+def number(value):
+    """``value`` as a float if it is a number or a numeral, else None."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def sizes(parent: dict, change: dict) -> str:
+    """The largest absolute and relative difference over the numeric fields
+    two results share, and the names of their other differing fields."""
+    a, b = fields(parent), fields(change)
+    gaps, other = [], []
+    for name in list(a) + [name for name in b if name not in a]:
+        left, right = number(a.get(name)), number(b.get(name))
+        if left is None or right is None:
+            if a.get(name, ...) != b.get(name, ...):
+                other.append(name)
+        elif left != right:
+            gap = abs(left - right)
+            gaps.append((gap, gap / max(abs(left), abs(right)), name))
+    numeric = "equal"
+    if gaps:
+        gap, _, gap_name = max(gaps)
+        rel, rel_name = max((rel, name) for _, rel, name in gaps)
+        numeric = f"abs {gap:.3g} ({gap_name}), rel {rel:.3g} ({rel_name})"
+    return f"  numeric: {numeric}\n  other fields: {', '.join(other) or 'none'}"
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout of the reference revision")
@@ -130,9 +199,10 @@ def main(argv=None) -> int:
         runs = commands(write_files(Path(folder)))
         parent = reports_of(args.parent, runs)
         change = reports_of(args.change, runs)
-    differing = [argv for argv, a, b in zip(runs, parent, change) if a != b]
-    for argv in differing:
+    differing = [(argv, a, b) for argv, a, b in zip(runs, parent, change) if a != b]
+    for argv, a, b in differing:
         print("differs: mspacings " + " ".join(argv))
+        print(sizes(a, b))
     print(f"identical: {len(runs) - len(differing)}  differing: {len(differing)}")
     return 1 if differing else 0
 

@@ -309,17 +309,17 @@ def _sigma_components(h, m: int, draws: int, seed: int, holst: bool):
     return stream_components(hv, w[: hv.size], m, mean_h, mean_w, holst)
 
 
-def stream_window_values(h, m: int, draws: int, seed: int, stream_id: int = 0):
-    """One stationary exponential stream of length draws + 2m with its
-    window totals and statistic values.
+def stream_window_values(h, m: int, draws: int, seed: int):
+    """One stationary exponential stream (seed, 0) of length draws + 2m with
+    its window totals and statistic values.
 
     ``h`` is a StatisticKind (applied to window totals) or a TupleFunction
     of arity m (applied to the windows themselves).  Returns (x, hv, w).
     """
-    m, draws, seed, stream_id = _indices(m=m, draws=draws, seed=seed, stream_id=stream_id)
+    m, draws, seed = _indices(m=m, draws=draws, seed=seed)
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    return _window_values(h, m, SeededStream(seed, stream_id), (draws + 2 * m,))
+    return _window_values(h, m, SeededStream(seed, 0), (draws + 2 * m,))
 
 
 def _mean_covs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

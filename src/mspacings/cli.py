@@ -6,8 +6,8 @@ variance coefficient, ``meancheck`` compares the first-order mean correction
 against simulation and, where available, an exact value.  ``test`` and
 ``simulate`` take a variant's moments from ``null_moments``; ``sigma`` and
 ``meancheck`` use ``closed_form_moments``, which no variant changes.
-``meancheck`` evaluates its simulated samples with variant V of the
-statistic table, in chunks whose boundaries never change its result.
+``meancheck`` evaluates its simulated samples as variant V with
+``evaluate_rows``, in chunks whose boundaries never change its result.
 
 Every run prints one report object: ``{"schema_version", "command", "params",
 "result", "warnings", "elapsed_ms"}``, as JSON (default) or a flat text
@@ -56,10 +56,10 @@ from .spacings import anchored_points, from_unit_observations
 from .statistics import (
     KIND_VARIANTS,
     NAMED_KINDS,
-    VARIANTS,
     ChunkWorkspace,
     custom_sum,
     evaluate,
+    evaluate_rows,
     resolve_kind,
 )
 
@@ -227,10 +227,18 @@ def _cmd_test(args: argparse.Namespace) -> dict:
         raise CliInputError(
             f"order {args.m} is not in [1, n) for a sample with n={sample.arc_count} arcs")
     result = evaluate(sample, args.m, kind, args.variant)
-    report = standardize(result, null_moments(kind, sample.arc_count, args.m, args.variant))
+    moments = null_moments(kind, sample.arc_count, args.m, args.variant)
+    report = standardize(result, moments)
     params = {"data_path": args.data_path, "statistic": kind.name,
               "m": args.m, "variant": args.variant}
-    return _document("test", params, dict(vars(report)), [])
+    warnings = []
+    if result.summand_count != result.n:
+        # the moments are n times the per-window ones
+        shift = (result.summand_count - result.n) * moments.per_term_mean / moments.sd()
+        warnings.append(f"the null moments assume {result.n} summands, but variant "
+                        f"{result.variant} sums {result.summand_count}: that alone "
+                        f"shifts z by about {shift:.4g}")
+    return _document("test", params, dict(vars(report)), warnings)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
@@ -286,22 +294,17 @@ def _simulated_mean_correction(kind, n: int, m: int, reps: int, seed: int):
 
     The samples are consecutive draws of stream (seed, 0), taken in chunks
     of at most ``CHUNK_VALUES`` values, so the chunk boundaries never change
-    them.  Each chunk is sorted in one workspace and its summands come from
-    variant V of the statistic table; every row is reduced with numpy's
-    ``sum``, and a non-finite row total runs the variant's domain scan."""
+    them.  Each chunk is sorted in one workspace and evaluated as variant V
+    by ``evaluate_rows``, as ``test`` and ``simulate`` evaluate it."""
     rows = max(1, CHUNK_VALUES // n)
     work = ChunkWorkspace(min(rows, reps), n, m)
     stream = SeededStream(seed, 0)
     totals = np.empty(reps)
-    variant = VARIANTS["v"]
     for first in range(0, reps, rows):
         count = min(rows, reps - first)
         u = stream.uniforms(count * (n - 1)).reshape(count, n - 1)
         points = anchored_points(u, out=work.points[:count])
-        hv = variant.summands(points, m, kind, work)
-        chunk = np.sum(hv, axis=1, out=totals[first : first + count])
-        if not np.isfinite(chunk).all():
-            variant.scan(hv, kind, work)
+        totals[first : first + count] = evaluate_rows(points, m, kind, "v", work)
     leading = closed_form_moments(kind, n, m).mean
     correction = float(np.mean(totals)) - leading
     se = float(np.std(totals, ddof=1) / math.sqrt(reps))

@@ -6,7 +6,7 @@ replication index and evaluate the chosen statistic (:func:`null_values`);
 moments and summarizes how close they sit to the standard normal.
 Replications are drawn (:meth:`~mspacings.rng.SeededStream.chunks`) and
 evaluated in chunks, one matrix row each, so the
-sort, the spacing arithmetic and the exact sums run over whole chunks; every
+sort, the spacing arithmetic and the row sums run over whole chunks; every
 statistic value equals the one-sample evaluation of the same draws, so the
 result does not depend on the chunk boundaries.  Each run allocates one
 :class:`~mspacings.statistics.ChunkWorkspace` at its largest chunk shape, and

@@ -1,20 +1,14 @@
 """Sum-statistics over m-tuples of scaled spacings.
 
 Each statistic applies a function to windows of the scaled simple spacings
-(or to the scaled window totals) and reduces with an exact, correctly
-rounded sum (:func:`exact_row_sums`, equal to ``math.fsum``), so a fixed
-sample always yields a bit-identical value.  The variants share one table,
-``VARIANTS``, and one evaluator over (rows, n) matrices of sorted points:
-:func:`evaluate_rows` serves the Monte Carlo engine, and the one-sample
+(or to the scaled window totals) and reduces every row of summands with
+numpy's row sum, ``hv.sum(axis=1)``.  numpy adds each contiguous row in one
+order, its pairwise summation, whatever the row count and the row stride, so
+a fixed sample yields a bit-identical value whether it is evaluated alone or
+as one row of a chunk.  The variants share one table, ``VARIANTS``, and one
+evaluator over (rows, n) matrices of sorted points: :func:`evaluate_rows`
+serves the Monte Carlo engine and ``meancheck``, and the one-sample
 functions below are its one-row case.
-
-The exact sum takes one error-free extraction of every row (Rump, Ogita &
-Oishi, SIAM J. Sci. Comput. 2008): an exact sum of high parts plus a float
-sum of remainders whose error Higham's gamma_n bounds by E.  A row whose
-rounded total lies farther than E from every rounding boundary is done;
-the rare others fall through to further extractions and ``math.fsum``.
-The row magnitudes that size the extraction also reveal non-finite
-summands, so the domain scan that names the first one runs only then.
 
 Variants
 --------
@@ -29,7 +23,6 @@ R : circular sum with a per-position family of tuple functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Sequence
@@ -233,108 +226,6 @@ class StatisticResult:
     summand_count: int
 
 
-#: Rows whose largest magnitude is smaller are not certified: their error
-#: bound could underflow.
-_CERTIFIED_MIN_TOP = math.ldexp(1.0, -900)
-#: Longer rows are not certified: count**2 must be an exact double.
-_CERTIFIED_MAX_COUNT = 2**26
-
-
-def exact_row_sums(matrix) -> np.ndarray:
-    """Correctly rounded sum of every row of a 2-D matrix of doubles, equal
-    bit for bit to ``math.fsum`` of the row, and raising as it raises.
-
-    One error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation", SIAM J. Sci. Comput. 2008) settles almost every row.  With
-    ``2**M >= count + 2`` and ``max|p| < 2**e`` in a row, ``sigma =
-    2**(e + M)`` splits the row into ``q = (p + sigma) - sigma``, whose entries
-    are multiples of one power of two small enough that their sum ``tau`` is
-    exact in any order, and the exact remainders ``p - q``, each at most
-    ``2**(e + M - 53)`` in magnitude.  Their float sum ``rho`` is off by at
-    most Higham's ``gamma_(count-1)`` times their absolute sum, in any order,
-    which is below ``E = count**2 * 2**(e + M - 105)``.  Let ``s = tau + rho``,
-    ``d`` the exact rounding error of that addition and ``h`` half the gap
-    from ``s`` to its nearer neighbouring double (a quarter of the gap above
-    when ``|s|`` is a power of two).  If ``|d| + E < h``, the exact row sum
-    lies strictly inside the interval that rounds to ``s``, and ``s`` is the
-    answer.
-
-    Every other row falls through: zero rows, rows with ``max|p| < 2**-900``
-    (whose ``E`` could underflow) and rows within ``E`` of a rounding
-    boundary.  Their remainders are extracted again until they are all zero,
-    and the exact parts, ``tau`` first, are rounded once by ``math.fsum``.  A
-    row whose maximum is too large for ``sigma`` to be finite, or that holds
-    a non-finite value, is summed by ``math.fsum`` directly.
-
-    The work is done on a copy; ``matrix`` is left as it is.
-    """
-    p = np.array(matrix, dtype=np.float64)
-    return _exact_sums(p, np.empty_like(p), _magnitudes(p))
-
-
-def _magnitudes(p: np.ndarray) -> np.ndarray:
-    """max |p| of every row, from two reductions that write no buffer; it is
-    NaN or infinite exactly when the row holds a non-finite value."""
-    if not p.shape[1]:
-        return np.zeros(p.shape[0])
-    return np.maximum(p.max(axis=1), -p.min(axis=1))
-
-
-def _extract(p: np.ndarray, q: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """One extraction at ``sigma = 2**scale`` per row: ``q`` takes the high
-    parts, ``p`` keeps the remainders, and the exact high-part sums are
-    returned."""
-    sigma = np.ldexp(1.0, scale)[:, None]
-    np.add(p, sigma, out=q)
-    q -= sigma
-    p -= q
-    return q.sum(axis=1)
-
-
-def _exact_sums(p: np.ndarray, q: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """:func:`exact_row_sums` of ``p`` with scratch ``q``, given the row
-    magnitudes ``top``."""
-    rows, count = p.shape
-    if not count:
-        return np.zeros(rows)
-    shift = (count + 1).bit_length()
-    direct = {}
-    for r in np.flatnonzero(~(top < math.ldexp(1.0, 1023 - shift))).tolist():
-        direct[r] = math.fsum(p[r].tolist())
-        p[r] = 0.0
-        top[r] = 0.0
-    scale = np.frexp(top)[1] + shift
-    tau = _extract(p, q, scale)
-    rho = p.sum(axis=1)
-    sums = tau + rho
-    back = sums - tau
-    error = (tau - (sums - back)) + (rho - back)
-    # half the gap below |s|, the smaller of its two gaps
-    magnitude = np.abs(sums)
-    half = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
-    bound = np.ldexp(float(count * count), scale - 105)
-    settled = (np.abs(error) + bound < half) & (top >= _CERTIFIED_MIN_TOP)
-    loose = np.arange(rows) if count > _CERTIFIED_MAX_COUNT else np.flatnonzero(~settled)
-    if loose.size:
-        sums[loose] = _fall_through(p[loose], tau[loose], shift)
-    for r, value in direct.items():
-        sums[r] = value
-    return sums
-
-
-def _fall_through(p: np.ndarray, first: np.ndarray, shift: int) -> list[float]:
-    """``math.fsum`` of every row of remainders ``p`` plus its exact part
-    ``first``: the remainders are extracted again until they are zero, and
-    each row's exact parts are rounded once."""
-    parts = [first]
-    q = np.empty_like(p)
-    top = _magnitudes(p)
-    while top.any():
-        parts.append(_extract(p, q, np.frexp(top)[1] + shift))
-        top = _magnitudes(p)
-    return [math.fsum(row) for row in np.transpose(parts).tolist()]
-
-
 def _first(mask: np.ndarray) -> tuple[int, int]:
     """(row, column) of the first set entry of a 2-D mask, in row-major order."""
     return divmod(int(np.flatnonzero(mask)[0]), mask.shape[1])
@@ -345,9 +236,9 @@ class ChunkWorkspace:
     points at order m, allocated once and reused by every chunk.
 
     ``points`` holds a chunk's points, ``values`` its spacings (or window
-    totals) and then the remainders of the exact sums, and ``summands`` the
-    summands, with m - 1 more columns for the circular extension of the
-    simple spacings.  The summands never overwrite ``points``.
+    totals), and ``summands`` the summands, with m - 1 more columns for the
+    circular extension of the simple spacings.  The summands never overwrite
+    ``points``, and each row of them is summed where it lies.
 
     The three arrays share one allocation.  glibc's malloc maps the first
     block this large and, when it is freed, raises its heap trim threshold to
@@ -524,18 +415,29 @@ def _evaluate(points: np.ndarray, m: int, fn, variant: str,
     if work is None:
         work = ChunkWorkspace(*points.shape, m)
     hv = spec.summands(points, m, fn, work)
-    rows, count = hv.shape
-    # a non-finite summand, and only that, makes its row's magnitude non-finite
-    top = _magnitudes(hv)
-    if not np.isfinite(top).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = hv.sum(axis=1)
+    # any non-finite summand makes its row total non-finite, so a scan that
+    # finds none leaves finite summands whose sum overflowed
+    if not np.isfinite(totals).all():
         spec.scan(hv, fn, work)
-    return fn, count, _exact_sums(hv, work.values[:rows, :count], top)
+        raise _overflow(hv, totals)
+    return fn, hv.shape[1], totals
+
+
+def _overflow(hv: np.ndarray, totals: np.ndarray) -> DomainViolation:
+    """The error for the first row whose finite summands sum past the largest
+    double, at its summand of largest magnitude."""
+    r = int(np.flatnonzero(~np.isfinite(totals))[0])
+    k = int(np.argmax(np.abs(hv[r])))
+    return DomainViolation(k, f"the sum of {hv.shape[1]} finite summands overflows; "
+                              f"the largest is {float(hv[r, k])!r}")
 
 
 def evaluate_rows(points: np.ndarray, m: int, fn, variant: str,
                   work: ChunkWorkspace | None = None) -> np.ndarray:
     """Values of statistic ``variant`` on every row of a (rows, n) matrix of
-    anchored sorted points, each reduced by :func:`exact_row_sums`.
+    anchored sorted points, each the row sum of its summands.
 
     ``fn`` is a statistic kind (or its name) for v, w, q and z, a tuple
     function for z, and a family for r.  Domain errors report the first

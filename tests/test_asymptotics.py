@@ -269,8 +269,6 @@ class TestRegisteredKindsOnly:
     (lambda: stream_window_values("greenwood", 2, 10_000.0, 0),
      "draws must be an integer, got 10000.0"),
     (lambda: stream_window_values("greenwood", 2, 10_000, 0.5), "seed must be an integer, got 0.5"),
-    (lambda: stream_window_values("greenwood", 2, 10_000, 0, stream_id=1.5),
-     "stream_id must be an integer, got 1.5"),
     (lambda: estimate_general_moments(square_family(50), 50, 1, 100.0, 0),
      "replications must be an integer, got 100.0"),
     (lambda: estimate_general_moments(square_family(50), 50.0, 1, 100, 0),
@@ -280,7 +278,7 @@ class TestRegisteredKindsOnly:
         "mean_correction-seed", "mean_correction-stream_id", "holst_comparison-m",
         "holst_vs_corrected-draws", "sigma-m", "sigma-window_draws", "clt-n", "clt-seed",
         "window_values-m", "window_values-draws", "window_values-seed",
-        "window_values-stream_id", "general-replications", "general-n"])
+        "general-replications", "general-n"])
 def test_non_integer_order_or_size_is_refused(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()

@@ -289,6 +289,45 @@ class TestNullMoments:
         assert calls == [("entropy", 40, 2, variant)]
 
 
+class TestSummandCountWarning:
+    """``test`` warns when its moments assume n summands and the variant sums
+    another count, with the z shift the count alone makes."""
+
+    @pytest.mark.parametrize("variant, m", [("w", 1), ("w", 3), ("q", 2), ("q", 3)])
+    @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
+    def test_other_counts_warn(self, capsys, data_path, kind, variant, m):
+        code, out, _ = run_cli(capsys, "test", data_path, "--statistic", kind,
+                               "--m", str(m), "--variant", variant)
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        result = doc["result"]
+        moments = closed_form_moments(kind, 21, m)
+        shift = (result["summand_count"] - 21) * moments.per_term_mean / math.sqrt(
+            moments.variance)
+        assert doc["warnings"] == [
+            f"the null moments assume 21 summands, but variant {variant.upper()} sums "
+            f"{result['summand_count']}: that alone shifts z by about {shift:.4g}"]
+
+    @pytest.mark.parametrize("variant, m", [("v", 1), ("v", 3), ("z", 3), ("q", 1)])
+    def test_n_summands_do_not_warn(self, capsys, data_path, variant, m):
+        code, out, _ = run_cli(capsys, "test", data_path, "--statistic", "moran",
+                               "--m", str(m), "--variant", variant)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["result"]["summand_count"] == 21
+        assert doc["warnings"] == []
+
+    def test_disjoint_greenwood_shift_is_most_of_z(self, capsys, tmp_path):
+        path = write_data(tmp_path, np.random.default_rng(1).random(2000))
+        code, out, _ = run_cli(capsys, "test", path, "--statistic", "greenwood",
+                               "--m", "3", "--variant", "q")
+        assert code == 0
+        doc = json.loads(out)
+        assert round(doc["result"]["z"], 2) == -48.33
+        assert doc["warnings"][0].endswith("shifts z by about -47.82")
+
+
 class TestReproducibility:
     def test_byte_identical_reruns(self, capsys):
         argv = ("simulate", "--n", "60", "--m", "2", "--statistic", "entropy",

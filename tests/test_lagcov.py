@@ -344,11 +344,6 @@ class TestStreamWindowValues:
         for left, right in zip(a, b):
             np.testing.assert_array_equal(left, right)
 
-    def test_stream_id_changes_draws(self):
-        x0, _, _ = stream_window_values("greenwood", 1, 100, seed=10, stream_id=0)
-        x1, _, _ = stream_window_values("greenwood", 1, 100, seed=10, stream_id=1)
-        assert not np.array_equal(x0, x1)
-
     def test_kind_and_tuple_function_routes_agree(self):
         m = 3
         h = TupleFunction(lambda rows: np.square(rows.sum(axis=1)), arity=m,

@@ -305,17 +305,20 @@ class TestNullValues:
     """The raw-statistic seam under simulate_null."""
     N, M, REPS, SEED = 300, 3, 23, 17
 
+    # rows summed past numpy's 8192-value buffer at n = 10 000, where the
+    # default chunk holds 6 replications
+    @pytest.mark.parametrize("n, reps", [(N, REPS), (10_000, 13)])
     @pytest.mark.parametrize("rows", [1, 7, None])  # None: the default chunk
     @pytest.mark.parametrize("kind", ["greenwood", "moran", "entropy"])
     @pytest.mark.parametrize("variant", ["v", "w", "q", "z"])
-    def test_equals_loop_of_one_sample_evaluate(self, monkeypatch, variant, kind, rows):
+    def test_equals_loop_of_one_sample_evaluate(self, monkeypatch, variant, kind, rows, n, reps):
         if rows is not None:
-            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", rows * self.N)
-        config = McConfig(n=self.N, m=self.M, kind=kind, replications=self.REPS,
+            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", rows * n)
+        config = McConfig(n=n, m=self.M, kind=kind, replications=reps,
                           seed=self.SEED, variant=variant)
         expected = []
-        for rep in range(self.REPS):
-            sample = from_unit_observations(SeededStream(self.SEED, rep).uniforms(self.N - 1))
+        for rep in range(reps):
+            sample = from_unit_observations(SeededStream(self.SEED, rep).uniforms(n - 1))
             expected.append(evaluate(sample, self.M, kind, variant).value.hex())
         assert [value.hex() for value in null_values(config).tolist()] == expected
 

@@ -1,7 +1,8 @@
-"""A non-finite summand is refused with the same DomainViolation on every
-path that reduces summands: one-sample evaluation, the null simulation
-(which names the first failing replication) and the meancheck simulation.
-Each path scans the summands only when a row result comes out non-finite."""
+"""A non-finite summand, or finite summands whose sum overflows, is refused
+with the same DomainViolation on every path that reduces summands:
+one-sample evaluation, the null simulation (which names the first failing
+replication) and the meancheck simulation.  Each path scans the summands
+only when a row total comes out non-finite."""
 
 import math
 
@@ -13,7 +14,6 @@ from mspacings import (
     McConfig,
     SeededStream,
     SimulationAborted,
-    UnsupportedKind,
     custom_sum,
     from_unit_observations,
     null_values,
@@ -98,11 +98,33 @@ def test_meancheck_simulation(monkeypatch, bad):
     assert str(err.value) == text
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_meancheck_keeps_finite_overflowing_totals():
+def test_meancheck_refuses_finite_overflowing_totals():
     # every summand is finite and only the row totals overflow, so the scan
-    # finds nothing; the run goes on to the closed forms, which a custom
-    # kind has none of
+    # finds nothing and the overflow itself is refused
     kind = custom_sum(lambda x: np.full_like(x, 1e308), name="huge")
-    with pytest.raises(UnsupportedKind):
+    with pytest.raises(DomainViolation) as err:
         cli._simulated_mean_correction(kind, N, M, 4, SEED)
+    assert str(err.value) == ("tuple function undefined at window 0: the sum of 20 finite "
+                              "summands overflows; the largest is 1e+308")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_null_values_names_the_first_overflowing_replication(monkeypatch, variant):
+    # greenwood scaled so that its sum overflows above a threshold that a
+    # replication of a later chunk is the first to pass
+    monkeypatch.setattr(montecarlo, "CHUNK_VALUES", ROWS * N)
+    values = [evaluate(from_unit_observations(SeededStream(SEED, rep).uniforms(N - 1)),
+                       M, "greenwood", variant).value for rep in range(REPS)]
+    below = max(values[:ROWS])
+    above = min(v for v in values[ROWS:] if v > below)
+    scale = np.finfo(np.float64).max / (0.5 * (below + above))
+    kind = custom_sum(lambda x: np.square(x) * scale, name="scaled")
+    rep, text = first_failure(kind, variant, lambda r: SeededStream(SEED, r).uniforms(N - 1))
+    assert rep >= ROWS
+    assert " finite summands overflows; the largest is " in text
+    config = McConfig(n=N, m=M, kind=kind, replications=REPS, seed=SEED, variant=variant)
+    with pytest.raises(SimulationAborted) as err:
+        null_values(config)
+    assert err.value.replication == rep
+    assert isinstance(err.value.cause, DomainViolation)
+    assert str(err.value) == f"replication {rep} aborted: {text}"

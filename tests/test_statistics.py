@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mspacings import (
@@ -30,7 +30,14 @@ from mspacings import (
     statistic_Z,
 )
 from mspacings.spacings import anchored_points, spacing_rows
-from mspacings.statistics import NAMED_KINDS, _xlogx, evaluate, evaluate_rows
+from mspacings.statistics import (
+    NAMED_KINDS,
+    VARIANTS,
+    ChunkWorkspace,
+    _xlogx,
+    evaluate,
+    evaluate_rows,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -457,18 +464,36 @@ def test_rows_equal_one_sample_evaluation(count, rows, seed):
 
 
 @given(unit_obs, st.integers(min_value=1, max_value=6))
-def test_value_is_fsum_of_the_summands(values, m):
+def test_value_is_the_row_sum_of_the_summands(values, m):
     sample = from_unit_observations(values)
     n = sample.arc_count
     if m >= n:
         return
     points = sample.points.reshape(1, -1)
     x = n * spacing_rows(points, m)[0]
-    assert statistic_V(sample, m, "greenwood").value == math.fsum(np.square(x))
-    assert statistic_W(sample, m, "entropy").value == math.fsum(
-        ENTROPY.sum_fn(x[: n - m]))
+    assert statistic_V(sample, m, "greenwood").value == np.sum(np.square(x))
+    assert statistic_W(sample, m, "entropy").value == np.sum(ENTROPY.sum_fn(x[: n - m]))
     x = n * spacing_rows(points, m, disjoint=True)[0]
-    assert statistic_Q(sample, m, "greenwood").value == math.fsum(np.square(x))
+    assert statistic_Q(sample, m, "greenwood").value == np.sum(np.square(x))
+
+
+@given(st.sampled_from([3, 40, 9000]), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=30, deadline=None)
+def test_rows_equal_numpy_sum_of_the_variant_summands(count, rows, seed):
+    # each row of summands, copied out alone, sums to the bits evaluate_rows
+    # gives for the whole chunk
+    points = anchored_points(np.random.default_rng(seed).random((rows, count)))
+    n = count + 1
+    m = 1 + seed % min(9, n - 1)
+    fam = TupleFunctionFamily.constant(square_tuple(m), n)
+    for variant, fn in (("v", GREENWOOD), ("w", MORAN), ("q", ENTROPY),
+                        ("z", ENTROPY), ("z", square_tuple(m)), ("r", fam)):
+        work = ChunkWorkspace(rows, n, m)
+        hv = VARIANTS[variant].summands(points, m, fn, work)
+        expected = [float(np.sum(np.array(row))).hex() for row in hv]
+        got = [value.hex() for value in evaluate_rows(points, m, fn, variant).tolist()]
+        assert got == expected, (variant, fn)
 
 
 def test_rows_report_error_of_first_failing_row():
