@@ -10,7 +10,10 @@ variant, and once at 4100 replications, more than one block of seed words;
 ``sigma`` with and without ``--compare-holst``, at 20 000 draws (one block
 of the lag sums), at 100 003 draws and m = 5 (several blocks), and at 100 003
 draws and m = 8 and m = 70 (window totals from ``sliding_window_view`` sums
-and from cumulative sums); and ``meancheck``.
+and from cumulative sums), with ``--custom-h cube`` at m = 70 and 100 003
+draws (custom values rebuilt across blocks from the carried running sum) and
+``--custom-h identity`` at m = 1 (where the totals are the draws); and
+``meancheck``.
 Prints the number of identical and differing reports, names each differing
 command with the largest absolute and relative difference over its numeric
 report fields and the names of its other differing fields, and exits 1 if
@@ -80,6 +83,10 @@ def commands(files: dict[str, str]) -> list[list[str]]:
                              "--seed", "11", *holst])
     runs.append(["sigma", "--custom-h", "square", "--m", "3", "--draws", "20000",
                  "--seed", "11", "--compare-holst"])
+    runs.append(["sigma", "--custom-h", "cube", "--m", "70", "--draws", "100003",
+                 "--seed", "11", "--compare-holst"])
+    runs.append(["sigma", "--custom-h", "identity", "--m", "1", "--draws", "100003",
+                 "--seed", "11"])
     for kind in KINDS:
         runs.append(["meancheck", "--statistic", kind, "--m", "2", "--n", "60",
                      "--reps", "300", "--seed", "13"])

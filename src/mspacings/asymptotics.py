@@ -7,13 +7,13 @@ spacings: scaled spacings behave like iid standard exponentials x_k (extended
 circularly, x_{n+j} = x_j), and window totals |x_k^m| = x_k + ... + x_{k+m-1}
 stand in for the scaled overlapping m-spacings.
 
-The stationary-stream estimators draw one stream and make one blocked pass
-over it (``lagcov.window_pass``), keeping two stream-length arrays: the
-statistic values, and the window totals written over the draws
-(:func:`estimate_sigma_m`, :func:`holst_comparison`) or the draws themselves
-(:func:`clt_condition_ratio`, which needs them for its moment).  Their
-results equal those of :func:`stream_window_values` followed by
-``lagcov.components`` and ``lagcov.batched_components`` bit for bit.
+The stationary-stream estimators draw one stream block by block and pass
+over it in blocks (``lagcov.window_pass``, ``lagcov.lag_pass`` and, for
+:func:`clt_condition_ratio`, ``lagcov.stream_moment``), keeping one
+stream-length array, the draws: each pass rebuilds the window totals and
+statistic values of a block in cache.  Their results equal those of
+:func:`stream_window_values` followed by ``lagcov.components``,
+``lagcov.batched_components`` and ``lagcov.projection_moment`` bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .lagcov import (
     MIN_DRAWS,
     Estimate,
     batch_std_error,
-    condition_components,
-    projection_moment,
-    stream_components,
+    lag_pass,
+    stream_moment,
     window_pass,
     window_sums,
 )
@@ -287,16 +286,14 @@ def _window_values(h, m: int, stream: SeededStream, shape: tuple[int, ...]):
     return x, hv, w
 
 
-def _stream_pass(h, m: int, draws: int, seed: int, totals_over_draws: bool):
-    """The stream of :func:`stream_window_values` through
-    ``lagcov.window_pass``: returns (x, hv, mean_h, mean_w), where with
-    ``totals_over_draws`` the first ``hv.size`` entries of x hold the
-    window totals."""
+def _stream_pass(h, m: int, draws: int, seed: int):
+    """The stream of :func:`stream_window_values`, drawn into one array by
+    ``lagcov.window_pass``: returns (x, values, mean_h, mean_w), where
+    ``values`` gives h on windows (see :func:`_values`)."""
     values = _values(h, m)
-    x = SeededStream(seed, 0).exponentials(draws + 2 * m)
-    hv = np.empty(x.size - m + 1)
-    mean_h, mean_w = window_pass(x, m, values, hv, totals_over_draws)
-    return x, hv, mean_h, mean_w
+    x = np.empty(draws + 2 * m)
+    mean_h, mean_w = window_pass(SeededStream(seed, 0).exponentials, x, m, values)
+    return x, values, mean_h, mean_w
 
 
 def _sigma_components(h, m: int, draws: int, seed: int, holst: bool):
@@ -305,8 +302,8 @@ def _sigma_components(h, m: int, draws: int, seed: int, holst: bool):
     m, draws, seed = _indices(m=m, draws=draws, seed=seed)
     if draws < MIN_DRAWS:
         raise ValueError(f"draws must be >= {MIN_DRAWS}")
-    w, hv, mean_h, mean_w = _stream_pass(h, m, draws, seed, totals_over_draws=True)
-    return stream_components(hv, w[: hv.size], m, mean_h, mean_w, holst)
+    x, values, mean_h, mean_w = _stream_pass(h, m, draws, seed)
+    return lag_pass(x, m, values, mean_h, mean_w, holst, batched=True)
 
 
 def stream_window_values(h, m: int, draws: int, seed: int):
@@ -505,9 +502,9 @@ def clt_condition_ratio(h, n: int, m: int, r: float, draws: int, seed: int) -> f
         raise ValueError(f"order must be >= 1, got {m}")
     if n <= m:
         raise ValueError(f"need n > m, got n={n}, m={m}")
-    x, hv, mean_h, mean_w = _stream_pass(h, m, draws, seed, totals_over_draws=False)
-    comp = condition_components(hv, x, m, mean_h, mean_w)
-    moment = projection_moment(hv, x, comp.mean_h, comp.b, m, r)
+    x, values, mean_h, mean_w = _stream_pass(h, m, draws, seed)
+    comp, _ = lag_pass(x, m, values, mean_h, mean_w, holst=False, batched=False)
+    moment = stream_moment(x, m, values, comp.mean_h, comp.b, r)
     if moment == 0.0:
         return 0.0
     if comp.corrected <= 0.0:

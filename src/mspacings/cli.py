@@ -47,6 +47,7 @@ from .errors import (
     MSpacingsError,
     NonFiniteSample,
     SimulationAborted,
+    SummandOverflow,
     ZeroSpacing,
 )
 from .lagcov import MIN_DRAWS
@@ -74,7 +75,7 @@ _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_DOMAIN = 2
 
-_DOMAIN_ERRORS = (ZeroSpacing, DomainViolation, NonFiniteSample)
+_DOMAIN_ERRORS = (ZeroSpacing, DomainViolation, SummandOverflow, NonFiniteSample)
 
 #: Named scalar functions available to ``sigma --custom-h``.
 CUSTOM_H_REGISTRY = {

@@ -1,8 +1,9 @@
 """Exception types raised across the package, and its one integer check.
 
 Every error carries enough context to locate the offending input (index of a
-bad observation, window position of a domain violation, replication number of
-an aborted simulation) so callers can report precisely.  Integer arguments
+bad observation, window position of a domain violation, position of the
+largest summand of an overflowing sum, replication number of an aborted
+simulation) so callers can report precisely.  Integer arguments
 are all checked by :func:`checked_index`.
 """
 
@@ -63,6 +64,17 @@ class DomainViolation(MSpacingsError):
         self.index = index
         msg = f"tuple function undefined at window {index}"
         super().__init__(f"{msg}: {detail}" if detail else msg)
+
+
+class SummandOverflow(MSpacingsError):
+    """Finite summands of a statistic whose sum overflows; carries the
+    position and value of the summand of largest magnitude."""
+
+    def __init__(self, index: int, value: float, count: int):
+        self.index = index
+        self.value = value
+        super().__init__(f"the sum of {count} finite summands overflows; the largest is "
+                         f"summand {index}, {value!r}")
 
 
 class FamilyLengthMismatch(MSpacingsError):

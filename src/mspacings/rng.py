@@ -28,6 +28,8 @@ np.uint64)``, so every row equals the single-stream draw bit for bit.
 
 ``uniforms(count, out=None)`` is the one draw that a subclass overrides: it
 changes both uniform and exponential draws, of single streams and of rows.
+``exponentials(count, out=None)`` writes into ``out`` as ``uniforms`` does,
+so a long stream can be drawn block by block into one array.
 """
 
 from __future__ import annotations
@@ -199,9 +201,15 @@ class SeededStream:
         ``out`` (a C-contiguous array of ``count`` doubles) when it is given."""
         return self._generator.random(count, out=out)
 
-    def exponentials(self, count: int) -> np.ndarray:
-        """iid standard exponentials, -log(1 - u) for uniform u."""
-        return _inverse_cdf(self.uniforms(count))
+    def exponentials(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """iid standard exponentials, -log(1 - u) for uniform u, written into
+        ``out`` as :meth:`uniforms` writes its draws.  A stream drawn in
+        slices, one after another, gives the same values as one draw."""
+        drawn = self.uniforms(count, out=out)
+        if out is not None and drawn is not out:  # an override that returns a new array
+            out[...] = drawn
+            drawn = out
+        return _inverse_cdf(drawn)
 
     @classmethod
     def chunks(cls, seed: int, count: int, out: np.ndarray, draw: str = "uniforms",

@@ -34,6 +34,7 @@ from .errors import (
     DomainViolation,
     FamilyLengthMismatch,
     OrderTooLarge,
+    SummandOverflow,
     UnsupportedKind,
     ZeroSpacing,
 )
@@ -425,13 +426,12 @@ def _evaluate(points: np.ndarray, m: int, fn, variant: str,
     return fn, hv.shape[1], totals
 
 
-def _overflow(hv: np.ndarray, totals: np.ndarray) -> DomainViolation:
+def _overflow(hv: np.ndarray, totals: np.ndarray) -> SummandOverflow:
     """The error for the first row whose finite summands sum past the largest
     double, at its summand of largest magnitude."""
     r = int(np.flatnonzero(~np.isfinite(totals))[0])
     k = int(np.argmax(np.abs(hv[r])))
-    return DomainViolation(k, f"the sum of {hv.shape[1]} finite summands overflows; "
-                              f"the largest is {float(hv[r, k])!r}")
+    return SummandOverflow(k, float(hv[r, k]), hv.shape[1])
 
 
 def evaluate_rows(points: np.ndarray, m: int, fn, variant: str,

@@ -289,45 +289,76 @@ def square_values(x, w):
     return np.square(w)
 
 
+def slice_draw(source):
+    """A ``draw(count, out)`` that writes the next ``count`` entries of
+    ``source`` into ``out``."""
+    drawn = [0]
+
+    def draw(count, out):
+        out[...] = source[drawn[0] : drawn[0] + count]
+        drawn[0] += count
+        return out
+
+    return draw
+
+
 class TestWindowPass:
-    # the blocked front pass gives window_sums' totals, the values and the
-    # numpy means bit for bit on every window-total path, and the lag sums
-    # that the stream estimators take equal those of components
+    # the blocked passes give the numpy means, and the lag sums and moment of
+    # the full-length arrays, bit for bit on every window-total path, in one
+    # block and over many
     @pytest.mark.parametrize("block", [128, None])
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 64, 65, 70])
     def test_equal_to_full_length_arrays(self, monkeypatch, m, block):
         if block is not None:
             monkeypatch.setattr(lagcov, "_LAG_BLOCK", block)
-        x = np.random.default_rng(m).standard_exponential(20_003) * 1e3
-        w = window_sums(x, m)
-        hv = np.empty(w.size)
-        mean_h, mean_w = lagcov.window_pass(x.copy(), m, square_values, hv, False)
-        assert hexes(hv) == hexes(np.square(w))
-        assert hexes([mean_h, mean_w]) == hexes([np.square(w).mean(), w.mean()])
-        over = x.copy()
-        lagcov.window_pass(over, m, square_values, np.empty(w.size), True)
-        assert hexes(over[: w.size]) == hexes(w)
-        assert hexes(over[w.size :]) == hexes(x[w.size :])
+        source = np.random.default_rng(m).standard_exponential(20_003) * 1e3
+        w = window_sums(source, m)
+        hv = np.square(w)
+        x = np.full(source.size, np.nan)
+        mean_h, mean_w = lagcov.window_pass(slice_draw(source), x, m, square_values)
+        assert x.tobytes() == source.tobytes()
+        assert hexes([mean_h, mean_w]) == hexes([hv.mean(), w.mean()])
 
         full = components(hv, w, m)
         batch = batched_components(hv, w, m)
-        cross, cross_batch = lagcov.stream_components(hv, w, m, mean_h, mean_w, True)
+        cross, cross_batch = lagcov.lag_pass(x, m, square_values, mean_h, mean_w, True, True)
         assert component_hexes(cross) == component_hexes(full)
         assert [component_hexes(c) for c in cross_batch] == [component_hexes(c) for c in batch]
-        plain, plain_batch = lagcov.stream_components(hv, w, m, mean_h, mean_w, False)
-        condition = lagcov.condition_components(hv, x, m, mean_h, mean_w)
+        plain, plain_batch = lagcov.lag_pass(x, m, square_values, mean_h, mean_w, False, True)
+        condition, none = lagcov.lag_pass(x, m, square_values, mean_h, mean_w, False, False)
+        assert none == []
         for c, expected in [(plain, full), (condition, full), *zip(plain_batch, batch)]:
             assert math.isnan(c.holst)
             assert hexes([c.corrected, c.b, c.mean_h]) == \
                 hexes([expected.corrected, expected.b, expected.mean_h])
+        assert lagcov.stream_moment(x, m, square_values, full.mean_h, full.b, 2.5).hex() == \
+            projection_moment(hv, x, full.mean_h, full.b, m, 2.5).hex()
+
+    def test_draws_each_block_just_ahead_of_its_windows(self, monkeypatch):
+        monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
+        source = np.random.default_rng(3).standard_exponential(1000)
+        counts = []
+        draw = slice_draw(source)
+        lagcov.window_pass(lambda count, out: counts.append(count) or draw(count, out),
+                           np.empty(1000), 5, square_values)
+        assert sum(counts) == 1000 and max(counts) <= 128 + 4
 
     def test_non_finite_value_names_the_first_window(self, monkeypatch):
         monkeypatch.setattr(lagcov, "_LAG_BLOCK", 128)
-        x = np.ones(1000)
-        x[[700, 900]] = -1.0
+        source = np.ones(1000)
+        source[[700, 900]] = -1.0
         with pytest.raises(NonFiniteSample, match="^statistic value at window 698 is not finite$"):
-            lagcov.window_pass(x, 3, lambda x, w: np.where(w > 1.5, w, np.nan), np.empty(998),
-                               False)
+            lagcov.window_pass(slice_draw(source), np.empty(1000), 3,
+                               lambda x, w: np.where(w > 1.5, w, np.nan))
+
+    def test_running_sum_serves_only_blocks_from_the_last_one_on(self):
+        totals = lagcov._block_totals(np.ones(400), 70, 128)
+        assert totals(0, 100)[0] == 70.0
+        assert totals(50, 128)[-1] == 70.0
+        with pytest.raises(ValueError, match="^window totals from 40 asked for"):
+            totals(40, 10)
+        with pytest.raises(ValueError, match="^window totals from 248 asked for"):
+            totals(248, 10)
 
 
 class TestStreamWindowValues:

@@ -1,10 +1,11 @@
-"""A non-finite summand, or finite summands whose sum overflows, is refused
-with the same DomainViolation on every path that reduces summands:
-one-sample evaluation, the null simulation (which names the first failing
-replication) and the meancheck simulation.  Each path scans the summands
-only when a row total comes out non-finite."""
+"""A non-finite summand is refused with the same DomainViolation, and finite
+summands whose sum overflows with the same SummandOverflow, on every path
+that reduces summands: one-sample evaluation, the null simulation (which
+names the first failing replication) and the meancheck simulation.  Each
+path scans the summands only when a row total comes out non-finite."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from mspacings import (
     McConfig,
     SeededStream,
     SimulationAborted,
+    SummandOverflow,
     custom_sum,
     from_unit_observations,
     null_values,
 )
 from mspacings import cli, montecarlo
-from mspacings.statistics import evaluate
+from mspacings.statistics import NAMED_KINDS, evaluate
 
 BAD = [math.inf, -math.inf, math.nan]
 VARIANTS = ["v", "w", "q", "z"]
@@ -59,13 +61,14 @@ def test_evaluate(bad, variant, cut, window, value):
 N, M, CUT, SEED, REPS, ROWS = 20, 2, 6.0, 4, 40, 3
 
 
-def first_failure(kind, variant, stream):
-    """(replication, message) of the first one-sample evaluation that fails."""
+def first_failure(kind, variant, stream, error=DomainViolation):
+    """(replication, message) of the first one-sample evaluation that fails,
+    which must fail with ``error``."""
     for rep in range(REPS):
         try:
             evaluate(from_unit_observations(stream(rep)), M, kind, variant)
-        except DomainViolation as exc:
-            assert str(exc).startswith("tuple function undefined at window ")
+        except (DomainViolation, SummandOverflow) as exc:
+            assert type(exc) is error
             return rep, str(exc)
     raise AssertionError("no replication fails")
 
@@ -102,10 +105,11 @@ def test_meancheck_refuses_finite_overflowing_totals():
     # every summand is finite and only the row totals overflow, so the scan
     # finds nothing and the overflow itself is refused
     kind = custom_sum(lambda x: np.full_like(x, 1e308), name="huge")
-    with pytest.raises(DomainViolation) as err:
+    with pytest.raises(SummandOverflow) as err:
         cli._simulated_mean_correction(kind, N, M, 4, SEED)
-    assert str(err.value) == ("tuple function undefined at window 0: the sum of 20 finite "
-                              "summands overflows; the largest is 1e+308")
+    assert (err.value.index, err.value.value) == (0, 1e308)
+    assert str(err.value) == ("the sum of 20 finite summands overflows; the largest is "
+                              "summand 0, 1e+308")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -119,12 +123,36 @@ def test_null_values_names_the_first_overflowing_replication(monkeypatch, varian
     above = min(v for v in values[ROWS:] if v > below)
     scale = np.finfo(np.float64).max / (0.5 * (below + above))
     kind = custom_sum(lambda x: np.square(x) * scale, name="scaled")
-    rep, text = first_failure(kind, variant, lambda r: SeededStream(SEED, r).uniforms(N - 1))
+    rep, text = first_failure(kind, variant, lambda r: SeededStream(SEED, r).uniforms(N - 1),
+                              SummandOverflow)
     assert rep >= ROWS
-    assert " finite summands overflows; the largest is " in text
+    assert re.fullmatch(r"the sum of \d+ finite summands overflows; "
+                        r"the largest is summand \d+, [0-9.e+]+", text)
     config = McConfig(n=N, m=M, kind=kind, replications=REPS, seed=SEED, variant=variant)
     with pytest.raises(SimulationAborted) as err:
         null_values(config)
     assert err.value.replication == rep
-    assert isinstance(err.value.cause, DomainViolation)
+    assert isinstance(err.value.cause, SummandOverflow)
     assert str(err.value) == f"replication {rep} aborted: {text}"
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["test", "DATA", "--statistic", "greenwood"], ""),
+    (["simulate", "--n", "20", "--m", "2", "--statistic", "greenwood", "--reps", "4",
+      "--seed", "1"], "replication 0 aborted: "),
+    (["meancheck", "--statistic", "greenwood", "--m", "2", "--n", "20", "--reps", "4",
+      "--seed", "1"], ""),
+])
+def test_cli_exits_2_on_an_overflowing_sum(monkeypatch, capsys, tmp_path, argv, prefix):
+    # the overflow is a domain failure of the statistic, as a non-finite
+    # summand is, on every command that sums summands
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{v}\n" for v in (0.1, 0.35, 0.5, 0.8)))
+    def huge(x, out=None):
+        return np.full_like(x, 1e308) if out is None else np.copyto(out, 1e308) or out
+
+    monkeypatch.setitem(NAMED_KINDS, "greenwood", custom_sum(huge, name="greenwood"))
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    assert cli.main(argv) == 2
+    assert re.fullmatch(f"error: {prefix}the sum of \\d+ finite summands overflows; "
+                        "the largest is summand 0, 1e\\+308\n", capsys.readouterr().err)

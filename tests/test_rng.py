@@ -124,6 +124,17 @@ class TestSeededStream:
         assert drawn.tobytes() == SeededStream(14, 6).uniforms(count).tobytes()
         assert np.isnan(out[[0, -2, -1]]).all()
 
+    @pytest.mark.parametrize("piece", [1, 7, 4096, 32_768])
+    def test_exponentials_drawn_in_slices_equal_one_draw(self, piece):
+        # 100 003 is a multiple of none of the slice lengths
+        count = 100_003
+        out = np.full(count, np.nan)
+        stream = SeededStream(0, 0)
+        for lo in range(0, count, piece):
+            drawn = stream.exponentials(min(piece, count - lo), out=out[lo : lo + piece])
+            assert np.shares_memory(drawn, out)
+        assert out.tobytes() == SeededStream(0, 0).exponentials(count).tobytes()
+
     def test_exponential_moments(self):
         e = SeededStream(13, 0).exponentials(1_000_000)
         assert abs(float(e.mean()) - 1.0) <= 0.003
@@ -208,6 +219,9 @@ class TestRows:
         rows = drawn_rows(Fresh, 3, 4, 5, "exponentials", wrap=1)
         for r in range(4):
             assert np.array_equal(rows[r], np.full(6, -math.log1p(-(10 + r) / 100.0)))
+        out = np.full(5, np.nan)
+        assert Fresh(3, 2).exponentials(5, out=out) is out
+        assert np.array_equal(out, np.full(5, -math.log1p(-0.12)))
 
     @pytest.mark.parametrize("draw", ["__init__", "exponential", "chunks", "uniform", ""])
     @pytest.mark.parametrize("count", [0, 3])
