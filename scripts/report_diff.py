@@ -5,8 +5,13 @@ Runs one fixed set of ``mspacings`` commands against the package of each
 checkout (``DIR/src``) and compares every command's exit code, stdout and
 stderr.  The set covers ``test`` on seeded data files for every variant
 (v, w, q, z), every named kind and m in {1, 2, 3, 5, 9}, as JSON and as
-text, plus a tied file and a file with a bad value; ``simulate`` for every
-variant, and once at 4100 replications, more than one block of seed words;
+text, plus a tied file and a file with a bad value; ``test`` at m = 3 for
+variants v and q and every named kind on the same values as ``%.6f`` fixed
+decimals, as numpy ``savetxt``'s ``%.18e``, with CRLF line ends, with
+comments and blank lines between them and space-padded, and on 30 000 values
+(more than one conversion block), and once on 30 000 values with one out of
+range after 20 000 lines; ``simulate`` for every variant, and once at 4100
+replications, more than one block of seed words;
 ``sigma`` with and without ``--compare-holst``, at 20 000 draws (one block
 of the lag sums), at 100 003 draws and m = 5 (several blocks), and at 100 003
 draws and m = 8 and m = 70 (window totals from ``sliding_window_view`` sums
@@ -38,16 +43,37 @@ KINDS = ("greenwood", "moran", "entropy")
 VARIANTS = ("v", "w", "q", "z")
 
 
+#: The data files that ``test`` reads in every format below, beside "plain".
+FORMATS = ("fixed", "savetxt", "crlf", "between", "padded", "large")
+
+
 def write_files(folder: Path) -> dict[str, str]:
-    """Seeded data files for ``test``: plain, tied and bad."""
-    values = [repr(v) for v in np.random.default_rng(20240415).random(299).tolist()]
-    tied = values[:100] + [values[50]] + values[100:]
-    bad = values[:150] + ["0.5x"] + values[150:]
+    """Seeded data files for ``test``: plain, tied and bad; the same values
+    as ``%.6f`` fixed decimals, as numpy ``savetxt``'s ``%.18e``, with CRLF
+    line ends, with comments and blank lines between them, and space-padded;
+    30 000 values, which cross the conversion blocks; and 30 000 values with
+    one out of range after 20 000 lines."""
+    rng = np.random.default_rng(20240415)
+    numbers = rng.random(299)
+    values = [repr(v) for v in numbers.tolist()]
+    large = [repr(v) for v in rng.random(30_000).tolist()]
     files = {}
-    for name, rows in (("plain", values), ("tied", tied), ("bad", bad)):
+    for name, rows in (("plain", values),
+                       ("tied", values[:100] + [values[50]] + values[100:]),
+                       ("bad", values[:150] + ["0.5x"] + values[150:]),
+                       ("fixed", [f"{v:.6f}" for v in numbers.tolist()]),
+                       ("between", [row + ("\n# between" if k % 2 else "\n")
+                                    for k, row in enumerate(values)]),
+                       ("padded", [f"  {row} " for row in values]),
+                       ("large", large),
+                       ("late", large[:20_000] + ["1.0000001"] + large[20_000:])):
         path = folder / f"{name}.txt"
         path.write_text(f"# {name}\n" + "".join(f"{row}\n" for row in rows))
         files[name] = str(path)
+    files["savetxt"] = str(folder / "savetxt.txt")
+    np.savetxt(files["savetxt"], numbers)
+    files["crlf"] = str(folder / "crlf.txt")
+    Path(files["crlf"]).write_bytes("".join(f"{row}\r\n" for row in values).encode())
     return files
 
 
@@ -62,6 +88,12 @@ def commands(files: dict[str, str]) -> list[list[str]]:
     for kind in KINDS:
         runs.append(["test", files["tied"], "--statistic", kind])
     runs.append(["test", files["bad"], "--statistic", "greenwood"])
+    for name in FORMATS:
+        for kind in KINDS:
+            for variant in ("v", "q"):
+                runs.append(["test", files[name], "--statistic", kind, "--m", "3",
+                             "--variant", variant])
+    runs.append(["test", files["late"], "--statistic", "greenwood"])
     for variant in VARIANTS:
         for kind in KINDS:
             runs.append(["simulate", "--n", "300", "--m", "2", "--statistic", kind,

@@ -100,15 +100,14 @@ def _document(command: str, params: dict, result: dict, warnings: list[str]) -> 
     }
 
 
-#: Kept lines are cast in blocks of this many, so that a refused value costs
-#: the cast of the values before it and a ``float()`` loop over part of one
-#: block; a valid file pays one list slice and one copy of its values more
-#: than a single cast.
+#: Lines are converted in blocks of this many, so that a bad value costs the
+#: work on the lines before it and on one block, and the arrays of one block
+#: stay small.
 _CAST_BLOCK = 4096
 
 
 def _load_unit_data(path: str) -> np.ndarray:
-    """The data values of a ``test`` file (``-`` reads stdin) as float64.
+    r"""The data values of a ``test`` file (``-`` reads stdin) as float64.
 
     The format: one value per line, in the syntax of Python's ``float()``,
     each in [0, 1).  Lines are split as ``str.splitlines`` splits them.  Blank
@@ -116,11 +115,28 @@ def _load_unit_data(path: str) -> np.ndarray:
     skipped anywhere in the file.  Raises CliInputError naming the 1-based
     line of the first bad value, or saying that no value was found.
 
-    The kept lines are converted by float64 casts, which give ``float()``'s
-    bits and accept nothing ``float()`` rejects, block by block up to the
-    first value that ``float()`` refuses, and range-checked once.  The first
-    bad value, refused or out of range, is then named by counting the lines
-    up to it.
+    Plain lines, ``0.`` followed by 1 to 19 digits and nothing else, are
+    converted from their digits by ``_digit_values`` when the text is ASCII,
+    its lines split at ``"\n"`` alone (none of ``\r \x0b \x0c \x1c \x1d
+    \x1e`` is left after text-mode reading), and ``_extended_division``
+    finds numpy's ``longdouble`` to be x87 extended precision (x86-64 Linux
+    and macOS builds; Windows and ARM builds fall back to the casts below).
+    A plain line is exactly N / 10**19, with N its digits left-aligned to 19
+    places, so N < 2**64 and N is built exactly in uint64.  10**19 =
+    2**19 * 5**19 with 5**19 < 2**64, so N and 10**19 are exact in x87
+    format and one division rounds the quotient once, to 64 bits.  Rounding
+    that to float64 gives the correctly rounded value, ``float()``'s bits,
+    unless the quotient's 11 bits below float64's read exactly
+    ``10000000000`` (the double-rounding lemma); those lines, about one in
+    2048, go to ``float()``.  A plain line from 1 - 2**-54 on rounds to 1.0,
+    which is out of range.  Every other line is stripped, skipped if blank
+    or a comment, and cast as below.
+
+    A file that path cannot certify (a refused or out-of-range value, no
+    value, a failed guard) is read by float64 casts alone, which give
+    ``float()``'s bits and accept nothing ``float()`` rejects: the lines are
+    stripped, filtered and cast block by block up to the first block holding
+    a bad value, which is then named by counting the lines up to it.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -130,34 +146,167 @@ def _load_unit_data(path: str) -> np.ndarray:
                 text = fh.read()
         except OSError as exc:
             raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    lines = text.splitlines()
-    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-    values = _cast_until_refused(kept)
-    # NaN fails both comparisons, and min/max propagate it
-    if values.size == len(kept) and values.size and values.min() >= 0.0 and values.max() < 1.0:
+    values = _digit_values(text)
+    if values is not None:
         return values
-    outside = np.flatnonzero(~((values >= 0.0) & (values < 1.0)))
-    raise _bad_value(lines, int(outside[0]) if outside.size else values.size)
+    return _cast_lines(text.splitlines())
 
 
-def _cast_until_refused(kept: list[str]) -> np.ndarray:
-    """float64 values of ``kept``, up to the first one that ``float()``
-    refuses."""
-    blocks = [np.empty(0)]
-    for start in range(0, len(kept), _CAST_BLOCK):
-        block = kept[start : start + _CAST_BLOCK]
+@functools.cache
+def _extended_division() -> bool:
+    """Whether numpy's ``longdouble`` is x87 extended precision: 16 bytes,
+    a 64-bit significand stored in the low 8 bytes (2**64 - 1 is held there
+    exactly), division rounded to 64 bits and ``finfo``'s 63 mantissa bits.
+    The significand is read from memory: a cast back to uint64 would load
+    one more numpy cast loop, about 0.1 MB resident, into the process."""
+    if np.dtype(np.longdouble).itemsize != 16:
+        return False
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    third = np.array([1.0], dtype=np.longdouble) / np.longdouble(3)
+    return (int(top.astype(np.longdouble).view(np.uint64)[0]) == 2**64 - 1
+            and int(third.view(np.uint64)[0]) == 0xAAAAAAAAAAAAAAAB
+            and np.finfo(np.longdouble).nmant == 63)
+
+
+@functools.cache
+def _plain_masks() -> tuple[np.ndarray, np.ndarray]:
+    """A plain line read as three little-endian 64-bit words: by its digit
+    count k = 0..19, the masks that keep its "0." and k digits, and what
+    those bytes read as "0." and zeros.  Built on first use, so that
+    importing the module runs no numpy code."""
+    keep = np.array([[(1 << 8 * min(max(k + 2 - lo, 0), 8)) - 1 for lo in (0, 8, 16)]
+                     for k in range(20)], dtype=np.uint64)
+    zeros = [0x3030303030302E30, 0x3030303030303030, 0x3030303030303030]
+    return keep, keep & np.array(zeros, dtype=np.uint64)
+
+
+def _digit_values(text: str) -> np.ndarray | None:
+    """float64 values of the kept lines of ``text``, plain lines converted
+    from their digits as ``_load_unit_data`` describes; None if the text
+    fails the guards, a value is refused or out of range, or there is none.
+    """
+    if (not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+            or not _extended_division()):
+        return None
+    raw = text.encode("ascii")
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
+    starts = np.concatenate(([0], ends + 1))
+    ends = np.append(ends, len(raw))
+    # the 24-byte window of the text from each byte on
+    windows = np.ndarray((max(len(raw) - 23, 0),), "V24", raw, strides=(1,))
+    blocks = []
+    for first in range(0, starts.size, _CAST_BLOCK):
+        block = _digit_block(text, windows, starts[first : first + _CAST_BLOCK],
+                             ends[first : first + _CAST_BLOCK])
+        if block is None:
+            return None
+        blocks.append(block)
+    values = np.concatenate(blocks)
+    return values if values.size else None
+
+
+def _digit_block(text, windows, starts, ends) -> np.ndarray | None:
+    """The kept values of the lines text[starts[i]:ends[i]], as
+    ``_digit_values`` converts them; None if one is refused or out of
+    range."""
+    count = ends - starts - 2
+    # the window of a plain line lies inside the text
+    plain = (count >= 1) & (count <= 19) & (starts + 24 <= len(text))
+    at = np.flatnonzero(plain)
+    count = count[at]
+    words = windows[starts[at]].view(np.uint64).reshape(-1, 3)
+    keep, zeros = _plain_masks()
+    words &= keep.take(count, axis=0)
+    dotted = (words[:, 0] & np.uint64(0xFFFF)) == 0x2E30  # "0."
+    words -= zeros.take(count, axis=0)
+    # a kept byte after "0." is a digit iff it is now at most 9, with no borrow
+    bad = words + np.uint64(0x7676767676767676)
+    bad |= words
+    bad &= np.uint64(0x8080808080808080)
+    digits = dotted & ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0)
+    if not digits.all():
+        plain[at[~digits]] = False
+        at, words = at[digits], words[digits]
+    # eight bytes per word into one number, "0." reading as 00: pairs,
+    # quads, then the eight
+    words *= np.uint64(10 * 256 + 1)
+    words >>= np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 * 65536 + 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 * 2**32 + 1)
+    words >>= np.uint64(32)
+    # digits 1-6, 7-14 and 15-22, of which 20-22 are zero
+    numerators = words[:, 0] * np.uint64(10**13)
+    numerators += words[:, 1] * np.uint64(10**5)
+    numerators += words[:, 2] // np.uint64(1000)
+    quotients = numerators.astype(np.longdouble)
+    quotients /= np.longdouble(10**19)
+    values = np.empty(starts.size)
+    values[at] = quotients
+    # the 11 significand bits below float64's read 10000000000: a rounded
+    # quotient on a float64 midpoint, which a second rounding may break wrongly
+    halfway = at[(quotients.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400]
+    for i in halfway.tolist():
+        values[i] = float(text[starts[i] : ends[i]])
+    # a plain line below 1 can round to 1.0
+    if (values[at] >= 1.0).any():
+        return None
+    if at.size == starts.size:
+        return values
+    other = np.flatnonzero(~plain)
+    # many other lines: one split of the block costs less than a slice each
+    if 4 * other.size > starts.size:
+        lines = text[starts[0] : ends[-1]].split("\n")
+        if other.size < starts.size:
+            lines = list(map(lines.__getitem__, other.tolist()))
+    else:
+        lines = list(map(text.__getitem__, map(slice, starts[other].tolist(),
+                                               ends[other].tolist())))
+    strings = list(map(str.strip, lines))
+    kept = [line for line in strings if line and line[0] != "#"]
+    if kept:
+        if len(kept) < len(strings):
+            other = other[[bool(line) and line[0] != "#" for line in strings]]
         try:
-            blocks.append(np.array(block, dtype=np.float64))
+            cast = np.array(kept, dtype=np.float64)
         except ValueError:
-            prefix = []
-            for line in block:
+            return None
+        # NaN fails both comparisons
+        if not (cast.min() >= 0.0 and cast.max() < 1.0):
+            return None
+        values[other] = cast
+        plain[other] = True
+    return values[plain]
+
+
+def _cast_lines(lines: list[str]) -> np.ndarray:
+    """float64 values of the kept ``lines``, stripped, filtered and cast
+    block by block; raises the error for the first bad value, found in the
+    first block that holds one, or for a file with no value."""
+    blocks = [np.empty(0)]
+    done = 0
+    for start in range(0, len(lines), _CAST_BLOCK):
+        kept = [line for line in map(str.strip, lines[start : start + _CAST_BLOCK])
+                if line and line[0] != "#"]
+        try:
+            block = np.array(kept, dtype=np.float64)
+        except ValueError:
+            block = None
+        # NaN fails both comparisons, and min/max propagate it
+        if block is None or (block.size and not (block.min() >= 0.0 and block.max() < 1.0)):
+            for index, line in enumerate(kept):
                 try:
-                    prefix.append(float(line))
+                    if not 0.0 <= float(line) < 1.0:
+                        break
                 except ValueError:
                     break
-            blocks.append(np.array(prefix, dtype=np.float64))
-            if len(prefix) < len(block):
-                break
+            raise _bad_value(lines, done + index)
+        blocks.append(block)
+        done += block.size
+    if not done:
+        raise _bad_value(lines, 0)
     return np.concatenate(blocks)
 
 

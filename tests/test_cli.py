@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
 import jsonschema
@@ -507,8 +508,8 @@ class TiedStream(SeededStream):
     # draw 7 of replication 3 at n = 20 (19 draws per replication)
     TIE = 3 * 19 + 7
 
-    def uniforms(self, count):
-        u = super().uniforms(count)
+    def uniforms(self, count, out=None):
+        u = super().uniforms(count, out=out)
         start = getattr(self, "drawn", 0)
         self.drawn = start + count
         if start < self.TIE < start + count:
@@ -542,6 +543,15 @@ class TestMeancheckSimulation:
                                  "--reps", "10", "--seed", "4")
         assert (code, out) == (2, "")
         assert err == f"error: {oracle.value}\n"
+
+    def test_tied_stream_draws_into_chunk_rows(self):
+        # chunks draws row r with stream (seed, r) into a row of out, on one
+        # instance, so the tie falls on row 3
+        out = np.empty((2, 19))
+        rows = np.concatenate([rows.copy() for _, rows in TiedStream.chunks(4, 5, out)])
+        expected = np.array([SeededStream(4, r).uniforms(19) for r in range(5)])
+        expected[3, 7] = expected[3, 6]
+        assert rows.tolist() == expected.tolist()
 
 
 def reference_load(text: str) -> list[float]:
@@ -591,6 +601,38 @@ DATA = st.one_of(IN_RANGE, st.floats().map(repr), st.sampled_from([
     "\uff10.\uff15", "0.1 0.2", "0.5x", "0x1p-1", "1e-400", "."]))
 BLANK = st.lists(PADS, max_size=3).map("".join)
 COMMENT = st.tuples(PADS, st.sampled_from(["#", "# header", "##", "#0.5"])).map("".join)
+
+
+# "0." and 1 to 25 digits, leading zeros included: plain up to 19 digits
+PLAIN = st.builds(lambda zeros, digits: "0." + ("0" * zeros + digits)[:25],
+                  st.integers(0, 20), st.text("0123456789", min_size=1, max_size=25))
+NOT_PLAIN = st.sampled_from([
+    "1e-3", "2.5E-01", "0.5e0", " 0.25", "0.125 ", "\t0.75\t", "# comment", "#0.5", "",
+    "   ", "1_0", "0.2_5", "1.25", "abc", ".5", "0.", "00.5", "0.5x", "0012", "0/5", "07"])
+
+
+@st.composite
+def near_halfway(draw):
+    """A decimal of 1 to 19 places next to the midpoint between a double in
+    (0, 1) and the next double up."""
+    x = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.integers(1, 2**53 - 1).map(lambda k: k / 2**53)))
+    step = Decimal(1).scaleb(-draw(st.one_of(st.just(19), st.integers(1, 19))))
+    with localcontext() as ctx:
+        ctx.prec = 1100  # exact
+        midpoint = Decimal(x) + Decimal(math.ulp(x)) / 2
+        near = midpoint.quantize(step, rounding=ROUND_FLOOR) + draw(st.integers(-1, 2)) * step
+    return format(near, "f")
+
+
+@st.composite
+def plain_files(draw):
+    """Texts whose lines end at newlines alone: plain lines, reprs and
+    near-halfway decimals, with a few other lines among them."""
+    lines = draw(st.lists(st.one_of(PLAIN, near_halfway(), IN_RANGE), min_size=1, max_size=30))
+    for line in draw(st.lists(NOT_PLAIN, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 @st.composite
@@ -674,6 +716,64 @@ class TestDataFile:
             values[bad // 2] = earlier  # named first, refused or out of range
         text = "# header\n" + "\n".join(values) + "\n# trailer\n"
         assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
+
+    @given(plain_files(), st.sampled_from([1, 2, 3, 4096]))
+    # the x87 quotient lies halfway between two doubles, and rounding it
+    # again would give the wrong one: float() decides
+    @example("0.3912281904956620704\n0.5\n0.25\n", 4096)
+    @example("0.5\n0.5851629398909081181\n0.7732770096488164602\n0.75", 1)
+    @example("# h\n0.25\n1.0\n0.5\n", 2)
+    @example("0.5\n\n0.0000000000000000001\n0.9999999999999999999\n", 4096)
+    @example("0.5\n0/5\n0.25\n0.125\n0.0625\n0.75\n", 4096)
+    # below 1, but its double is 1.0
+    @example("0.9999999999999999445\n0.5\n", 4096)
+    def test_digit_path_equals_the_line_loop(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CAST_BLOCK", block)
+            assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
+
+    def test_plain_lines_at_the_end_of_the_text(self):
+        # a plain line is read through the 24 bytes from its start
+        for tail in range(30):
+            for text in ("0.25\n" + "#" * tail, "0.5\n0.0625" + "\n" * tail):
+                assert parse_outcome(load_stdin, text) == parse_outcome(reference_load, text)
+
+    @pytest.mark.skipif(not cli._extended_division(),
+                        reason="numpy's longdouble is not x87 extended precision")
+    def test_plain_lines_are_not_sent_to_float(self, monkeypatch, tmp_path):
+        values = SeededStream(31).uniforms(9000).tolist()
+        path = write_data(tmp_path, values)
+        sent = []
+        monkeypatch.setattr(cli, "float", lambda line: sent.append(line) or float(line),
+                            raising=False)
+        monkeypatch.setattr(cli, "_cast_lines", None)
+        loaded = cli._load_unit_data(path)
+        assert loaded.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+        assert len(sent) < 90
+
+    def test_cast_path_gives_the_same_reports(self, capsys, monkeypatch, tmp_path):
+        values = SeededStream(37).uniforms(300).tolist()
+        path = tmp_path / "data.txt"
+        path.write_text("# 300 uniforms\n" + "".join(f"{v!r}\n" for v in values)
+                        + "".join(f"{v:.6f}\n" for v in values))
+        native = cli._extended_division()
+        cast = []
+        monkeypatch.setattr(cli, "_cast_lines",
+                            lambda lines, cast_lines=cli._cast_lines:
+                            cast.append(1) or cast_lines(lines))
+        reports = {}
+        for probe in (cli._extended_division, lambda: False):
+            monkeypatch.setattr(cli, "_extended_division", probe)
+            for kind in NAMED_KINDS:
+                for m in (1, 2, 3, 5):
+                    for variant in "vwqz":
+                        code, out, err = run_cli(capsys, "test", str(path), "--statistic", kind,
+                                                 "--m", str(m), "--variant", variant)
+                        assert (code, err) == (0, "")
+                        reports.setdefault((kind, m, variant), []).append(out)
+        assert all(first == second for first, second in reports.values())
+        # a failed probe sends the file to the cast path
+        assert len(cast) == (48 if native else 96)
 
 
 def test_module_runs_as_script(tmp_path):
