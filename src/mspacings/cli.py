@@ -115,28 +115,25 @@ def _load_unit_data(path: str) -> np.ndarray:
     skipped anywhere in the file.  Raises CliInputError naming the 1-based
     line of the first bad value, or saying that no value was found.
 
-    Plain lines, ``0.`` followed by 1 to 19 digits and nothing else, are
-    converted from their digits by ``_digit_values`` when the text is ASCII,
-    its lines split at ``"\n"`` alone (none of ``\r \x0b \x0c \x1c \x1d
-    \x1e`` is left after text-mode reading), and ``_extended_division``
-    finds numpy's ``longdouble`` to be x87 extended precision (x86-64 Linux
-    and macOS builds; Windows and ARM builds fall back to the casts below).
-    A plain line is exactly N / 10**19, with N its digits left-aligned to 19
-    places, so N < 2**64 and N is built exactly in uint64.  10**19 =
-    2**19 * 5**19 with 5**19 < 2**64, so N and 10**19 are exact in x87
-    format and one division rounds the quotient once, to 64 bits.  Rounding
-    that to float64 gives the correctly rounded value, ``float()``'s bits,
-    unless the quotient's 11 bits below float64's read exactly
-    ``10000000000`` (the double-rounding lemma); those lines, about one in
-    2048, go to ``float()``.  A plain line from 1 - 2**-54 on rounds to 1.0,
-    which is out of range.  Every other line is stripped, skipped if blank
-    or a comment, and cast as below.
+    The lines are read in blocks of ``_CAST_BLOCK``, in one pass that stops
+    at the block holding the first bad value.  Plain lines, ``0.`` followed
+    by 1 to 19 digits and nothing else, are converted from their digits by
+    ``_digit_block`` when the text is ASCII, its lines split at ``"\n"``
+    alone (none of ``\r \x0b \x0c \x1c \x1d \x1e`` is left after text-mode
+    reading), and ``_extended_division`` finds numpy's ``longdouble`` to be
+    x87 extended precision (x86-64 Linux and macOS builds; Windows and ARM
+    builds read every line by the casts below).  A plain line is exactly
+    N / 10**19, with N its digits left-aligned to 19 places, so N < 2**64
+    and N is built exactly in uint64.  10**19 = 2**19 * 5**19 with 5**19 <
+    2**64, so N and 10**19 are exact in x87 format and one division rounds
+    the quotient once, to 64 bits.  Rounding that to float64 gives the
+    correctly rounded value, ``float()``'s bits, unless the quotient's 11
+    bits below float64's read exactly ``10000000000`` (the double-rounding
+    lemma); those lines, about one in 2048, go to ``float()``.  A plain
+    line from 1 - 2**-54 on rounds to 1.0, which is out of range.
 
-    A file that path cannot certify (a refused or out-of-range value, no
-    value, a failed guard) is read by float64 casts alone, which give
-    ``float()``'s bits and accept nothing ``float()`` rejects: the lines are
-    stripped, filtered and cast block by block up to the first block holding
-    a bad value, which is then named by counting the lines up to it.
+    Every other line goes to ``_cast_kept``, whose float64 casts give
+    ``float()``'s bits and accept nothing ``float()`` rejects.
     """
     if path == "-":
         text = sys.stdin.read()
@@ -146,10 +143,15 @@ def _load_unit_data(path: str) -> np.ndarray:
                 text = fh.read()
         except OSError as exc:
             raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    values = _digit_values(text)
-    if values is not None:
-        return values
-    return _cast_lines(text.splitlines())
+    if (text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+            and _extended_division()):
+        blocks = _digit_values(text)
+    else:
+        blocks = _cast_lines(text.splitlines())
+    values = np.concatenate([np.empty(0), *blocks])
+    if not values.size:
+        raise CliInputError("no data values found")
+    return values
 
 
 @functools.cache
@@ -180,153 +182,153 @@ def _plain_masks() -> tuple[np.ndarray, np.ndarray]:
     return keep, keep & np.array(zeros, dtype=np.uint64)
 
 
-def _digit_values(text: str) -> np.ndarray | None:
-    """float64 values of the kept lines of ``text``, plain lines converted
-    from their digits as ``_load_unit_data`` describes; None if the text
-    fails the guards, a value is refused or out of range, or there is none.
-    """
-    if (not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
-            or not _extended_division()):
-        return None
+def _cast_lines(lines: list[str]) -> list[np.ndarray]:
+    """The kept values of ``lines``, block by block, by ``_cast_kept``
+    alone."""
+    blocks = []
+    for start in range(0, len(lines), _CAST_BLOCK):
+        block = lines[start : start + _CAST_BLOCK]
+        linenos = range(start + 1, start + 1 + len(block))
+        direct = "" not in block and "#" not in "".join(block)
+        blocks.append(_cast_kept(block, linenos, direct))
+    return blocks
+
+
+def _digit_values(text: str) -> list[np.ndarray]:
+    """The kept values of the lines of ``text``, which split at ``"\\n"``
+    alone, block by block by ``_digit_block``."""
     raw = text.encode("ascii")
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
     starts = np.concatenate(([0], ends + 1))
     ends = np.append(ends, len(raw))
     # the 24-byte window of the text from each byte on
     windows = np.ndarray((max(len(raw) - 23, 0),), "V24", raw, strides=(1,))
-    blocks = []
-    for first in range(0, starts.size, _CAST_BLOCK):
-        block = _digit_block(text, windows, starts[first : first + _CAST_BLOCK],
-                             ends[first : first + _CAST_BLOCK])
-        if block is None:
-            return None
-        blocks.append(block)
-    values = np.concatenate(blocks)
-    return values if values.size else None
+    return [_digit_block(text, windows, starts[first : first + _CAST_BLOCK],
+                         ends[first : first + _CAST_BLOCK], first)
+            for first in range(0, starts.size, _CAST_BLOCK)]
 
 
-def _digit_block(text, windows, starts, ends) -> np.ndarray | None:
-    """The kept values of the lines text[starts[i]:ends[i]], as
-    ``_digit_values`` converts them; None if one is refused or out of
-    range."""
+def _digit_block(text, windows, starts, ends, first) -> np.ndarray:
+    """The kept values of the lines text[starts[i]:ends[i]], line first + i
+    + 1 of the text: plain lines converted from their digits as
+    ``_load_unit_data`` describes, the others by ``_cast_kept``.  Raises
+    the error for the first bad value among them."""
     count = ends - starts - 2
     # the window of a plain line lies inside the text
-    plain = (count >= 1) & (count <= 19) & (starts + 24 <= len(text))
-    at = np.flatnonzero(plain)
-    count = count[at]
-    words = windows[starts[at]].view(np.uint64).reshape(-1, 3)
-    keep, zeros = _plain_masks()
-    words &= keep.take(count, axis=0)
-    dotted = (words[:, 0] & np.uint64(0xFFFF)) == 0x2E30  # "0."
-    words -= zeros.take(count, axis=0)
-    # a kept byte after "0." is a digit iff it is now at most 9, with no borrow
-    bad = words + np.uint64(0x7676767676767676)
-    bad |= words
-    bad &= np.uint64(0x8080808080808080)
-    digits = dotted & ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0)
-    if not digits.all():
-        plain[at[~digits]] = False
-        at, words = at[digits], words[digits]
-    # eight bytes per word into one number, "0." reading as 00: pairs,
-    # quads, then the eight
-    words *= np.uint64(10 * 256 + 1)
-    words >>= np.uint64(8)
-    words &= np.uint64(0x00FF00FF00FF00FF)
-    words *= np.uint64(100 * 65536 + 1)
-    words >>= np.uint64(16)
-    words &= np.uint64(0x0000FFFF0000FFFF)
-    words *= np.uint64(10000 * 2**32 + 1)
-    words >>= np.uint64(32)
-    # digits 1-6, 7-14 and 15-22, of which 20-22 are zero
-    numerators = words[:, 0] * np.uint64(10**13)
-    numerators += words[:, 1] * np.uint64(10**5)
-    numerators += words[:, 2] // np.uint64(1000)
-    quotients = numerators.astype(np.longdouble)
-    quotients /= np.longdouble(10**19)
+    at = np.flatnonzero((count >= 1) & (count <= 19) & (starts + 24 <= len(text)))
     values = np.empty(starts.size)
-    values[at] = quotients
-    # the 11 significand bits below float64's read 10000000000: a rounded
-    # quotient on a float64 midpoint, which a second rounding may break wrongly
-    halfway = at[(quotients.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400]
-    for i in halfway.tolist():
-        values[i] = float(text[starts[i] : ends[i]])
-    # a plain line below 1 can round to 1.0
-    if (values[at] >= 1.0).any():
-        return None
-    if at.size == starts.size:
-        return values
-    other = np.flatnonzero(~plain)
-    # many other lines: one split of the block costs less than a slice each
-    if 4 * other.size > starts.size:
-        lines = text[starts[0] : ends[-1]].split("\n")
-        if other.size < starts.size:
-            lines = list(map(lines.__getitem__, other.tolist()))
-    else:
-        lines = list(map(text.__getitem__, map(slice, starts[other].tolist(),
-                                               ends[other].tolist())))
-    strings = list(map(str.strip, lines))
-    kept = [line for line in strings if line and line[0] != "#"]
-    if kept:
-        if len(kept) < len(strings):
-            other = other[[bool(line) and line[0] != "#" for line in strings]]
-        try:
-            cast = np.array(kept, dtype=np.float64)
-        except ValueError:
-            return None
-        # NaN fails both comparisons
-        if not (cast.min() >= 0.0 and cast.max() < 1.0):
-            return None
+    plain = np.zeros(starts.size, dtype=bool)
+    over = at[:0]
+    if at.size:
+        count = count[at]
+        words = windows[starts[at]].view(np.uint64).reshape(-1, 3)
+        keep, zeros = _plain_masks()
+        words &= keep.take(count, axis=0)
+        dotted = (words[:, 0] & np.uint64(0xFFFF)) == 0x2E30  # "0."
+        words -= zeros.take(count, axis=0)
+        # a kept byte after "0." is a digit iff it is now at most 9, with no borrow
+        bad = words + np.uint64(0x7676767676767676)
+        bad |= words
+        bad &= np.uint64(0x8080808080808080)
+        digits = dotted & ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0)
+        if not digits.all():
+            at, words = at[digits], words[digits]
+        plain[at] = True
+        # eight bytes per word into one number, "0." reading as 00: pairs,
+        # quads, then the eight
+        words *= np.uint64(10 * 256 + 1)
+        words >>= np.uint64(8)
+        words &= np.uint64(0x00FF00FF00FF00FF)
+        words *= np.uint64(100 * 65536 + 1)
+        words >>= np.uint64(16)
+        words &= np.uint64(0x0000FFFF0000FFFF)
+        words *= np.uint64(10000 * 2**32 + 1)
+        words >>= np.uint64(32)
+        # digits 1-6, 7-14 and 15-22, of which 20-22 are zero
+        numerators = words[:, 0] * np.uint64(10**13)
+        numerators += words[:, 1] * np.uint64(10**5)
+        numerators += words[:, 2] // np.uint64(1000)
+        quotients = numerators.astype(np.longdouble)
+        quotients /= np.longdouble(10**19)
+        values[at] = quotients
+        # the 11 significand bits below float64's read 10000000000: a rounded
+        # quotient on a float64 midpoint, which a second rounding may break wrongly
+        halfway = at[(quotients.view(np.uint64)[::2] & np.uint64(0x7FF)) == 0x400]
+        for i in halfway.tolist():
+            values[i] = float(text[starts[i] : ends[i]])
+        # a plain line below 1 can round to 1.0
+        over = at[values[at] >= 1.0]
+        if at.size == starts.size and not over.size:
+            return values
+    # blank lines hold no value; lines after a bad plain one need no look
+    other = np.flatnonzero(~plain & (ends > starts))
+    if over.size:
+        other = other[other < over[0]]
+    if other.size:
+        # many other lines: one split of the block costs less than a slice each
+        if 4 * other.size > starts.size:
+            lines = text[starts[0] : ends[-1]].split("\n")
+            if other.size < starts.size:
+                lines = list(map(lines.__getitem__, other.tolist()))
+        else:
+            lines = list(map(text.__getitem__, map(slice, starts[other].tolist(),
+                                                   ends[other].tolist())))
+        direct = text.find("#", starts[0], ends[-1]) < 0
+        cast = _cast_kept(lines, other + (first + 1), direct)
+        if cast.size < other.size:
+            other = other[[bool(line) and line[0] != "#" for line in map(str.strip, lines)]]
         values[other] = cast
         plain[other] = True
+    if over.size:
+        raise _bad_value(first + 1 + int(over[0]), text[starts[over[0]] : ends[over[0]]])
     return values[plain]
 
 
-def _cast_lines(lines: list[str]) -> np.ndarray:
-    """float64 values of the kept ``lines``, stripped, filtered and cast
-    block by block; raises the error for the first bad value, found in the
-    first block that holds one, or for a file with no value."""
-    blocks = [np.empty(0)]
-    done = 0
-    for start in range(0, len(lines), _CAST_BLOCK):
-        kept = [line for line in map(str.strip, lines[start : start + _CAST_BLOCK])
-                if line and line[0] != "#"]
+def _cast_kept(lines: list[str], linenos, direct: bool) -> np.ndarray:
+    """float64 values of the kept ``lines``, those that are not blank or a
+    comment once stripped.  Raises the error for the first bad value,
+    naming it by ``linenos[i]``.
+
+    ``direct``, set where no line is empty or holds ``#``, first casts the
+    lines unstripped: ``float()`` strips a subset of ``str.strip``'s
+    whitespace and no value starts with ``#``, so if every line casts, all
+    are kept and their values are those of the stripped lines."""
+    values = None
+    if direct:
         try:
-            block = np.array(kept, dtype=np.float64)
+            values = np.array(lines, dtype=np.float64)
         except ValueError:
-            block = None
-        # NaN fails both comparisons, and min/max propagate it
-        if block is None or (block.size and not (block.min() >= 0.0 and block.max() < 1.0)):
-            for index, line in enumerate(kept):
-                try:
-                    if not 0.0 <= float(line) < 1.0:
-                        break
-                except ValueError:
-                    break
-            raise _bad_value(lines, done + index)
-        blocks.append(block)
-        done += block.size
-    if not done:
-        raise _bad_value(lines, 0)
-    return np.concatenate(blocks)
-
-
-def _bad_value(lines: list[str], index: int) -> CliInputError:
-    """The error for kept value ``index`` of ``lines``, which ``float()``
-    refuses or which lies outside [0, 1), found by counting the lines up to
-    it; if there is no such value, the file holds none."""
-    for lineno, raw in enumerate(lines, start=1):
+            pass
+    if values is None:
+        try:
+            values = np.array([line for line in map(str.strip, lines)
+                               if line and line[0] != "#"], dtype=np.float64)
+        except ValueError:
+            pass
+    # NaN fails both comparisons, and min/max propagate it
+    if values is not None and (not values.size
+                               or (values.min() >= 0.0 and values.max() < 1.0)):
+        return values
+    for index, raw in enumerate(lines):
         line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if index:
-            index -= 1
-            continue
-        try:
-            float(line)
-        except ValueError:
-            return CliInputError(f"line {lineno}: {line!r} is not a number")
-        return CliInputError(f"line {lineno}: value {line} is outside [0, 1)")
-    return CliInputError("no data values found")
+        if line and line[0] != "#":
+            try:
+                if not 0.0 <= float(line) < 1.0:
+                    break
+            except ValueError:
+                break
+    raise _bad_value(linenos[index], line)
+
+
+def _bad_value(lineno: int, line: str) -> CliInputError:
+    """The error for ``line``, line ``lineno`` of the file, whose value
+    ``float()`` refuses or which lies outside [0, 1)."""
+    line = line.strip()
+    try:
+        float(line)
+    except ValueError:
+        return CliInputError(f"line {lineno}: {line!r} is not a number")
+    return CliInputError(f"line {lineno}: value {line} is outside [0, 1)")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:

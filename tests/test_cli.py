@@ -751,6 +751,46 @@ class TestDataFile:
         assert loaded.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
         assert len(sent) < 90
 
+    @pytest.mark.skipif(not cli._extended_division(),
+                        reason="numpy's longdouble is not x87 extended precision")
+    @pytest.mark.parametrize("bad", [0, 4095, 8998])
+    def test_a_bad_value_is_named_in_one_pass(self, monkeypatch, tmp_path, bad):
+        # the digit path names it from its own block: nothing is read again
+        values = [repr(v) for v in SeededStream(41).uniforms(9000).tolist()]
+        values[bad] = "0.5x"
+        path = tmp_path / "data.txt"
+        path.write_text("".join(f"{v}\n" for v in values))
+        sent = []
+        monkeypatch.setattr(cli, "float", lambda line: sent.append(line) or float(line),
+                            raising=False)
+        monkeypatch.setattr(cli, "_cast_lines", None)
+        with pytest.raises(cli.CliInputError, match=rf"^line {bad + 1}: '0.5x' is not a number$"):
+            cli._load_unit_data(str(path))
+        assert len(sent) < 20
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_lines_without_blanks_or_comments_are_cast_unstripped(self, monkeypatch,
+                                                                  tmp_path, native):
+        if native and not cli._extended_division():
+            pytest.skip("numpy's longdouble is not x87 extended precision")
+        if not native:
+            monkeypatch.setattr(cli, "_extended_division", lambda: False)
+        stripped = []
+        monkeypatch.setattr(cli, "_cast_kept",
+                            lambda lines, linenos, direct, cast_kept=cli._cast_kept:
+                            stripped.append(not direct) or cast_kept(lines, linenos, direct))
+        numbers = SeededStream(43).uniforms(5000).tolist()
+        for name, rows, expected in (("savetxt", [f"{v:.18e}" for v in numbers], False),
+                                     ("padded", [f"  {v!r} " for v in numbers], False),
+                                     ("header", ["# h"] + [f"{v!r} " for v in numbers], True)):
+            stripped.clear()
+            path = tmp_path / f"{name}.txt"
+            path.write_text("".join(f"{row}\n" for row in rows))
+            loaded = cli._load_unit_data(str(path))
+            assert loaded.view(np.uint64).tolist() == np.array(numbers).view(np.uint64).tolist()
+            # the block that holds the header is stripped, the next is not
+            assert stripped == ([True, False] if expected else [False, False])
+
     def test_cast_path_gives_the_same_reports(self, capsys, monkeypatch, tmp_path):
         values = SeededStream(37).uniforms(300).tolist()
         path = tmp_path / "data.txt"
